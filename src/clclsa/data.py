@@ -126,9 +126,10 @@ def complete_cases(ds: MultiOmicsDataset) -> MultiOmicsDataset:
 
 def minmax_scaled(ds: MultiOmicsDataset) -> MultiOmicsDataset:
     """Per-feature min-max scaling to [0, 1], the usual form for preprocessed
-    omics matrices; constant columns become zeros."""
+    omics matrices, fitted on observed rows; constant columns and unobserved
+    cells become zeros."""
     return MultiOmicsDataset(
-        views=[_minmax_scale(v) for v in ds.views],
+        views=[_minmax_scale(v, ds.mask[:, i]) for i, v in enumerate(ds.views)],
         mask=ds.mask.copy(),
         labels=ds.labels.copy(),
         class_count=ds.class_count,
@@ -143,7 +144,9 @@ def minmax_scaled(ds: MultiOmicsDataset) -> MultiOmicsDataset:
 
 
 def _read_matrix(path):
+    """Header, values, and the file line number of each value row."""
     rows = []
+    linenos = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -160,7 +163,9 @@ def _read_matrix(path):
                 rows.append([float(cell) for cell in row])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
-    return [h.strip() for h in header], np.array(rows, dtype=np.float64).reshape(len(rows), width)
+            linenos.append(lineno)
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    return [h.strip() for h in header], matrix, linenos
 
 
 def _read_labels(path):
@@ -177,25 +182,49 @@ def _read_labels(path):
     return np.array(labels, dtype=np.intp)
 
 
-def _minmax_scale(matrix):
-    lo = matrix.min(axis=0, keepdims=True)
-    hi = matrix.max(axis=0, keepdims=True)
-    span = hi - lo
+def _minmax_scale(matrix, observed):
+    """Min-max columns to [0, 1] using only the observed rows' range.
+
+    Unobserved rows hold placeholders that are never read, and come out as
+    zeros, as do constant columns.
+    """
     out = np.zeros_like(matrix)
+    if not observed.any():
+        return out
+    fit = matrix[observed]
+    lo = fit.min(axis=0, keepdims=True)
+    hi = fit.max(axis=0, keepdims=True)
+    span = hi - lo
     nonzero = span[0] > 0
     out[:, nonzero] = (matrix[:, nonzero] - lo[:, nonzero]) / span[:, nonzero]
+    out[~observed] = 0.0
     return out
+
+
+def _check_finite(path, matrix, linenos, observed):
+    bad = ~np.isfinite(matrix) & observed[:, None]
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ParseError(f"{path}:{linenos[r]}: non-finite observed cell "
+                         f"{matrix[r, c]!r} in column {c + 1}")
 
 
 def load_dataset(view_files, label_file, mask_file=None, class_count=None,
                  scale=False, view_names=None, note="") -> MultiOmicsDataset:
-    """Read per-view CSVs plus a label file (and optional 0/1 mask CSV)."""
+    """Read per-view CSVs plus a label file (and optional 0/1 mask CSV).
+
+    Observed cells must be finite; unobserved cells may hold any placeholder,
+    NaN and infinities included. With `scale`, each column is min-max scaled
+    over its observed rows.
+    """
     headers = []
     views = []
+    linenos = []
     for path in view_files:
-        header, matrix = _read_matrix(path)
+        header, matrix, lines = _read_matrix(path)
         headers.append(header)
         views.append(matrix)
+        linenos.append(lines)
     n = views[0].shape[0]
     for path, v in zip(view_files, views):
         if v.shape[0] != n:
@@ -208,7 +237,7 @@ def load_dataset(view_files, label_file, mask_file=None, class_count=None,
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise ParseError(f"{label_file}: labels must lie in [0, {class_count})")
     if mask_file is not None:
-        _, mask_matrix = _read_matrix(mask_file)
+        _, mask_matrix, _ = _read_matrix(mask_file)
         if mask_matrix.shape != (n, len(views)):
             raise ParseError(f"{mask_file}: mask must be {n}x{len(views)}, got {mask_matrix.shape}")
         if not np.isin(mask_matrix, (0.0, 1.0)).all():
@@ -216,8 +245,10 @@ def load_dataset(view_files, label_file, mask_file=None, class_count=None,
         mask = mask_matrix.astype(bool)
     else:
         mask = np.ones((n, len(views)), dtype=bool)
+    for i, path in enumerate(view_files):
+        _check_finite(path, views[i], linenos[i], mask[:, i])
     if scale:
-        views = [_minmax_scale(v) for v in views]
+        views = [_minmax_scale(v, mask[:, i]) for i, v in enumerate(views)]
     if view_names is None:
         view_names = [os.path.splitext(os.path.basename(p))[0] for p in view_files]
     return MultiOmicsDataset(views=views, mask=mask, labels=labels,

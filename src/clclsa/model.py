@@ -580,13 +580,13 @@ def joint_distribution(z_i, z_k) -> Tensor:
 def _contrastive_value_and_parts(p_data: np.ndarray, alpha: float):
     """Forward value plus the pieces the backward pass reuses.
 
-    The marginal term is computed as P * (log row + log col) and the final
-    reduction sums a symmetrized matrix, so transposing P yields a bitwise
-    identical value.
+    Transposing P gives the same value up to rounding. `loss_contrastive`
+    evaluates each unordered view pair once with weight 2, which equals the
+    sum over both orders.
     """
     pc = np.maximum(p_data, LOG_FLOOR)
-    row = np.sum(p_data, axis=1)
-    col = np.sum(np.ascontiguousarray(p_data.T), axis=1)
+    row = p_data.sum(axis=1)
+    col = p_data.sum(axis=0)
     rowc = np.maximum(row, LOG_FLOOR)
     colc = np.maximum(col, LOG_FLOOR)
     log_p = np.log(pc)
@@ -594,10 +594,6 @@ def _contrastive_value_and_parts(p_data: np.ndarray, alpha: float):
     log_col = np.log(colc)
     marg = log_row[:, None] + log_col[None, :]
     t = p_data * log_p - (alpha + 1.0) * (p_data * marg)
-    if t.shape[0] == t.shape[1]:
-        # summing the symmetrized matrix makes transposed square inputs give
-        # bitwise-identical values
-        t = 0.5 * (t + t.T)
     value = -np.sum(t)
     return value, (pc, row, col, rowc, colc, log_p, log_row, log_col)
 
@@ -636,22 +632,23 @@ def loss_contrastive_pair(p, alpha: float) -> Tensor:
 def loss_contrastive(zhats, mask, alpha: float) -> Tensor:
     """Sum of pair losses over ordered view pairs, jointly observed subjects only.
 
-    A pair with fewer than two jointly observed subjects contributes 0.
+    The pair loss is symmetric under transpose (P_ki = P_ik^T), so each
+    unordered pair i < k is computed once with weight 2, which equals the sum
+    over both orders. A pair with fewer than two jointly observed subjects
+    contributes 0.
     """
     mask = np.asarray(mask, dtype=bool)
     zhats = [as_tensor(z) for z in zhats]
     m = mask.shape[1]
     total = None
     for i in range(m):
-        for k in range(m):
-            if i == k:
-                continue
+        for k in range(i + 1, m):
             joint = _joint_subjects(mask, i, k)
             if joint.size < 2:
                 continue
             p = joint_distribution(gather_rows(zhats[i], joint),
                                    gather_rows(zhats[k], joint))
-            term = loss_contrastive_pair(p, alpha)
+            term = scale(loss_contrastive_pair(p, alpha), 2.0)
             total = term if total is None else nm.add(total, term)
     return total if total is not None else constant(0.0)
 

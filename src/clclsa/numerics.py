@@ -475,19 +475,23 @@ def concat_cols(parts) -> Tensor:
 
 
 def gather_rows(a, idx) -> Tensor:
-    """Select rows by index; gradients scatter-add back."""
+    """Select distinct rows by index; gradients add back into those rows."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("gather_rows: index must be 1-D")
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
         raise ShapeError(f"gather_rows: index out of range for {a.rows} rows")
+    hit = np.zeros(a.rows, dtype=bool)
+    hit[idx] = True
+    if np.count_nonzero(hit) != idx.size:
+        raise ShapeError("gather_rows: indices must be distinct")
 
     def backward_fn(out):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.add.at(g, idx, out.grad)
-            _accumulate(a, g)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[idx] += out.grad
 
     return _node(a.data[idx], (a,), backward_fn)
 
@@ -571,10 +575,11 @@ def clamp_min(a, floor: float) -> Tensor:
 
 
 def mean_outer(a, b) -> Tensor:
-    """(1/N) sum_j outer(a_j, b_j), i.e. a^T b / N.
+    """(1/N) sum_j outer(a_j, b_j), i.e. a^T b / N, contracted by BLAS.
 
-    The contraction is an einsum on the non-BLAS path so swapping the
-    arguments yields the bitwise transpose.
+    Swapping the arguments gives the transpose only up to rounding;
+    `loss_contrastive` computes each unordered view pair once, with weight 2,
+    which equals the ordered-pair sum.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.rows != b.rows:
@@ -582,7 +587,7 @@ def mean_outer(a, b) -> Tensor:
     n = a.rows
     if n == 0:
         raise BatchSizeError("mean_outer: empty batch")
-    out_data = np.einsum("nd,ne->de", a.data, b.data, optimize=False) / n
+    out_data = (a.data.T @ b.data) / n
 
     def backward_fn(out):
         g = out.grad

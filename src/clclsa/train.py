@@ -10,7 +10,7 @@ mode.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -156,7 +156,7 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
             if len(batches) > 1 and batches[-1].size < 2:
                 batches[-2] = np.sort(np.concatenate(batches[-2:]))
                 batches.pop()
-        breakdown = None
+        batch_logs = []
         for batch in batches:
             views_b = [v[batch] for v in ds.views]
             mask_b = ds.mask[batch]
@@ -172,8 +172,12 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
             if not all(np.isfinite(g).all() for g in grads.values()):
                 raise TrainingAborted("gradient", epoch, params, logs)
             adam_step(tensors, grads, adam, lr)
-        entry = EpochLog(epoch=epoch, breakdown=breakdown, lr=lr,
-                         latent_variance=md.latent_variances(cache))
+            batch_logs.append(astuple(breakdown) + tuple(md.latent_variances(cache)))
+        # a mini-batch epoch logs the mean over its batches; one batch logs as is
+        logged = batch_logs[0] if len(batch_logs) == 1 else np.mean(batch_logs, axis=0)
+        logged = [float(v) for v in logged]
+        entry = EpochLog(epoch=epoch, breakdown=LossBreakdown(*logged[:5]), lr=lr,
+                         latent_variance=logged[5:])
         if train_config.eval_every and (epoch + 1) % train_config.eval_every == 0:
             _, pred = md.predict(ds.views, ds.mask, params)
             entry.train_acc = float((pred == ds.labels).mean())

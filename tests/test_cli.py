@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -223,8 +224,8 @@ class TestErrorExitCodes:
         run(["mask", "--data", str(synth_dir), "--eta", "0.4", "--seed", "2",
              "--out", str(masked)])
         run_dir = tmp_path / "run"
-        with np.errstate(all="ignore"), np.testing.suppress_warnings() as sup:
-            sup.filter(RuntimeWarning)
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             code = run(["train", "--data", str(masked), "--out", str(run_dir),
                         "--seed", "3", "--epochs", "50", "--initial-lr", "1e200",
                         "--lr-schedule", "constant", "--lambda-co", "1.0",

@@ -100,6 +100,30 @@ class TestLoadWrite:
         np.testing.assert_array_equal(loaded.views[0][:, 2], 0.0)
         assert loaded.views[0].min() >= 0.0 and loaded.views[0].max() <= 1.0
 
+    def test_non_finite_observed_cell_reports_location(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0\n1\n")
+        for name, text, line in (("nan.csv", "a,b\n1.0,nan\n2.0,3.0\n", 2),
+                                 ("inf.csv", "a,b\n1.0,2.0\n-inf,3.0\n", 3)):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(dt.ParseError, match=f"{name}:{line}"):
+                dt.load_dataset([path], labels, class_count=2)
+
+    def test_unobserved_cells_may_hold_non_finite_placeholders(self, tmp_path):
+        va, vb = tmp_path / "a.csv", tmp_path / "b.csv"
+        mask, labels = tmp_path / "mask.csv", tmp_path / "labels.csv"
+        va.write_text("a,b\nnan,inf\n2.0,3.0\n")
+        vb.write_text("c\n1.0\n4.0\n")
+        mask.write_text("a,b\n0,1\n1,1\n")
+        labels.write_text("0\n1\n")
+        ds = dt.load_dataset([va, vb], labels, mask_file=mask, class_count=2)
+        np.testing.assert_array_equal(ds.views[0][1], [2.0, 3.0])
+        scaled = dt.load_dataset([va, vb], labels, mask_file=mask, class_count=2,
+                                 scale=True)
+        np.testing.assert_array_equal(scaled.views[0], 0.0)
+        np.testing.assert_array_equal(scaled.views[1][:, 0], [0.0, 1.0])
+
 
 class TestApplyMissingness:
     def test_eta_zero_is_identity(self):
@@ -283,3 +307,27 @@ class TestMinmaxScaled:
         for v in out.views:
             assert v.min() >= 0.0 and v.max() <= 1.0
         np.testing.assert_array_equal(out.mask, masked.mask)
+
+    def test_range_comes_from_observed_rows_only(self, tmp_path):
+        masked = dt.apply_missingness(small_dataset(30), dt.MissingnessSpec(eta=0.4, seed=5))
+        results = []
+        for k, placeholder in enumerate((0.0, np.nan, 1e6)):
+            ds = dt.replace_dataset_mask(masked, masked.mask)
+            for i, v in enumerate(ds.views):
+                v[~ds.mask[:, i]] = placeholder
+            dt.write_dataset(ds, tmp_path / str(k))
+            results.append(dt.minmax_scaled(ds))
+            results.append(dt.load_dataset_dir(tmp_path / str(k), scale=True))
+        for out in results:
+            for i, v in enumerate(out.views):
+                observed = masked.mask[:, i]
+                np.testing.assert_array_equal(v[observed], results[0].views[i][observed])
+                np.testing.assert_array_equal(v[~observed], 0.0)
+                assert v[observed].min() == 0.0 and v[observed].max() == 1.0
+
+    def test_complete_data_scales_as_plain_column_minmax(self):
+        ds = small_dataset(12)
+        out = dt.minmax_scaled(ds)
+        for v, raw in zip(out.views, ds.views):
+            lo, hi = raw.min(axis=0, keepdims=True), raw.max(axis=0, keepdims=True)
+            np.testing.assert_array_equal(v, (raw - lo) / (hi - lo))

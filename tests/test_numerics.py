@@ -199,6 +199,29 @@ class TestBackward:
         np.testing.assert_allclose(grads["x"], [[8.0]])
 
 
+class TestGatherRows:
+    def test_duplicate_indices_rejected(self):
+        a = nm.parameter(np.ones((4, 2)), "a")
+        with pytest.raises(nm.ShapeError, match="distinct"):
+            nm.gather_rows(a, [0, 2, 0])
+
+    def test_backward_is_bitwise_add_at_reference(self):
+        rng = np.random.default_rng(14)
+        idx = np.array([5, 0, 3, 6])
+        upstream = rng.normal(size=(4, 3))
+        for prior in (None, rng.normal(size=(7, 3))):
+            a = nm.parameter(rng.normal(size=(7, 3)), "a")
+            a.grad = None if prior is None else prior.copy()
+            out = nm.gather_rows(a, idx)
+            np.testing.assert_array_equal(out.data, a.data[idx])
+            out.grad = upstream
+            out._backward(out)
+            scattered = np.zeros((7, 3))
+            np.add.at(scattered, idx, upstream)
+            expected = scattered if prior is None else prior + scattered
+            np.testing.assert_array_equal(a.grad, expected)
+
+
 class TestGradientsAgainstFiniteDifferences:
     """Composite graphs from the primitive set vs central differences."""
 

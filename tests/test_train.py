@@ -1,5 +1,6 @@
 """Training loop, schedule, ablation wiring, grid search."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,29 @@ class TestTrain:
                 good += 1
         assert good >= 4
 
+    def test_mini_batch_epoch_logs_batch_means(self, monkeypatch):
+        seen = []
+        build = md.build_objective
+
+        def recording(*args, **kwargs):
+            total, breakdown, cache = build(*args, **kwargs)
+            seen.append([*breakdown.to_dict().values(), *md.latent_variances(cache)])
+            return total, breakdown, cache
+
+        monkeypatch.setattr(md, "build_objective", recording)
+        ds = tiny_dataset(eta=0.3)
+        _, logs = tr.train(ds, TINY_MODEL, quick_config(epochs=3, batch_size=8))
+        assert len(seen) == 9
+        for entry, batches in zip(logs, np.split(np.array(seen), 3)):
+            logged = [*entry.breakdown.to_dict().values(), *entry.latent_variance]
+            np.testing.assert_allclose(logged, batches.mean(axis=0), rtol=1e-14, atol=0)
+            assert logged != list(batches[-1])
+        seen.clear()
+        _, logs = tr.train(ds, TINY_MODEL, quick_config(epochs=3, batch_size=ds.n_subjects))
+        assert len(seen) == 3
+        for entry, values in zip(logs, seen):
+            assert [*entry.breakdown.to_dict().values(), *entry.latent_variance] == values
+
     def test_bitwise_deterministic(self):
         ds = tiny_dataset(eta=0.3)
         cfg = quick_config(epochs=10)
@@ -130,8 +154,8 @@ class TestTrain:
         cfg = quick_config(epochs=200, initial_lr=1e200,
                            weights=md.LossWeights(0.1, 1.0, 0.01, 9.0))
         with pytest.raises(tr.TrainingAborted) as info, np.errstate(all="ignore"), \
-                np.testing.suppress_warnings() as sup:
-            sup.filter(RuntimeWarning)
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             tr.train(ds, TINY_MODEL, cfg)
         exc = info.value
         assert exc.term
