@@ -1,25 +1,28 @@
 """Command-line entry point.
 
 Subcommands: synth, mask, train, eval, sweep, grid, ablate, surface. Every
-subcommand accepts --config FILE (JSON) with individual flags taking
-precedence (and --set section.key=value for any leaf field). Stochastic
-subcommands require an explicit --seed. Each run writes a manifest recording
-the resolved configuration, seeds, input digests, artifact paths, and
-duration; re-running the same command line reproduces every emitted number
-bitwise in single-thread mode.
+subcommand except eval accepts --config FILE (JSON) with individual flags
+taking precedence (and --set section.key=value for any leaf field), and
+writes a manifest recording the resolved configuration, seeds, input
+digests, artifact paths, and duration. Stochastic subcommands require an
+explicit --seed; re-running the same command line reproduces every emitted
+number bitwise in single-thread mode.
 
-Exit codes: 0 success, 1 usage error, 2 runtime/numeric failure.
+Exit codes: 0 success, 1 usage error (including an unknown config key or a
+malformed flag value), 2 runtime/numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict, fields
 
 from . import __version__
 from . import data as dt
@@ -82,22 +85,27 @@ def _section(config, name):
     return dict(value)
 
 
-def _model_config(config, args, ds=None):
+def _build(cls, section, name):
+    """Construct `cls` from a config section, rejecting keys it has no field for."""
+    known = {f.name for f in fields(cls)}
+    for key in section:
+        if key not in known:
+            raise UsageError(f"unknown config key {name}.{key}")
+    return cls(**section)
+
+
+def _model_config(config, args, ds):
     section = _section(config, "model")
     if getattr(args, "preset", None):
-        base = md.preset(args.preset).to_dict()
-        base.update(section)
-        section = base
+        section = {**asdict(md.preset(args.preset)), **section}
     if "num_views" not in section:
-        if ds is None:
-            raise UsageError("model config needs num_views/input_dims (or --preset)")
         section.setdefault("num_views", ds.n_views)
         section.setdefault("input_dims", list(ds.view_dims))
         section.setdefault("num_classes", ds.class_count)
         section.setdefault("embed_dims", [16] * ds.n_views)
         section.setdefault("ae_hidden", [16, 8])
         section.setdefault("dropout_p", 0.1)
-    return md.ModelConfig.from_dict(section), section
+    return _build(md.ModelConfig, section, "model"), section
 
 
 def _train_config(config, args):
@@ -106,16 +114,14 @@ def _train_config(config, args):
         value = getattr(args, flag, None)
         if value is not None:
             section[flag] = value
-    weights = section.get("weights", {})
-    for flag, key in (("lambda_al", "lambda_al"), ("lambda_co", "lambda_co"),
-                      ("lambda_cl", "lambda_cl"), ("alpha", "alpha")):
-        value = getattr(args, flag, None)
+    weights = _section(section, "weights")
+    for key in ("lambda_al", "lambda_co", "lambda_cl", "alpha"):
+        value = getattr(args, key, None)
         if value is not None:
             weights[key] = value
-    if weights:
-        section["weights"] = weights
+    section["weights"] = _build(md.LossWeights, weights, "train.weights")
     section["seed"] = args.seed if args.seed is not None else section.get("seed", 0)
-    return tr.TrainConfig.from_dict(section), section
+    return _build(tr.TrainConfig, section, "train")
 
 
 def _sha256(path):
@@ -159,6 +165,46 @@ def _out_dir(args):
     return args.out
 
 
+def _setup(args, config):
+    """Dataset, model and train configs, and the resolved config of a training command."""
+    ds = dt.load_dataset_dir(args.data, scale=args.scale)
+    model_config, model_section = _model_config(config, args, ds)
+    train_config = _train_config(config, args)
+    return ds, model_config, train_config, {"model": model_section,
+                                            "train": asdict(train_config)}
+
+
+def _emit(args, command, stem, results, resolved, seeds, started):
+    """Write a runner's report and the run manifest; returns the report path."""
+    out = _out_dir(args)
+    report_path = os.path.join(out, f"{stem}.{args.format}")
+    ev.emit_report(results, report_path, fmt=args.format)
+    _write_manifest(out, command, resolved, seeds, _dataset_inputs(args.data),
+                    [report_path], started)
+    return report_path
+
+
+# argparse `type=` converters: argparse reports a ValueError from one as a usage
+# error that names the converter ("invalid float_list value: 'a,b'").
+
+
+def float_list(text):
+    return [float(tok) for tok in text.split(",") if tok != ""]
+
+
+def int_list(text):
+    return [int(tok) for tok in text.split(",") if tok != ""]
+
+
+def _assignment(convert):
+    def assignment(text):
+        name, sep, value = text.partition("=")
+        if not sep:
+            raise ValueError(text)
+        return name, convert(value)
+    return assignment
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -166,23 +212,22 @@ def _out_dir(args):
 def _cmd_synth(args, config):
     section = _section(config, "synth")
     for flag, key in (("n", "n_subjects"), ("views", "n_views"), ("classes", "class_count"),
-                      ("snr", "snr"), ("sep", "class_sep"), ("shared_dim", "shared_dim")):
+                      ("snr", "snr"), ("sep", "class_sep"), ("shared_dim", "shared_dim"),
+                      ("dims", "view_dims")):
         value = getattr(args, flag, None)
         if value is not None:
             section[key] = value
-    if args.dims is not None:
-        section["view_dims"] = [int(d) for d in args.dims.split(",")]
     section["seed"] = args.seed
     section.setdefault("n_views", 3)
     section.setdefault("view_dims", [20] * section["n_views"])
-    spec = dt.SyntheticSpec.from_dict(section)
+    spec = _build(dt.SyntheticSpec, section, "synth")
     ds = dt.synth_generate(spec)
     out = _out_dir(args)
     started = time.time()
-    manifest = dt.write_dataset(ds, out, manifest_extra={"synth_spec": spec.to_dict()})
+    manifest = dt.write_dataset(ds, out, manifest_extra={"synth_spec": asdict(spec)})
     artifacts = [os.path.join(out, f) for f in manifest["files"]["views"]]
     artifacts.append(os.path.join(out, manifest["files"]["labels"]))
-    _write_manifest(out, "synth", {"synth": spec.to_dict()}, [args.seed], [], artifacts, started)
+    _write_manifest(out, "synth", {"synth": asdict(spec)}, [args.seed], [], artifacts, started)
     print(f"wrote synthetic dataset ({ds.n_subjects} subjects, {ds.n_views} views) to {out}")
     return 0
 
@@ -207,10 +252,8 @@ def _cmd_mask(args, config):
 
 
 def _epoch_log_csv(path, logs):
-    import csv as _csv
-
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["epoch", "l_clf", "l_al", "l_co", "l_cl", "total", "lr",
                          "latent_variance", "train_acc"])
         for entry in logs:
@@ -223,12 +266,8 @@ def _epoch_log_csv(path, logs):
 
 def _cmd_train(args, config):
     started = time.time()
-    ds = dt.load_dataset_dir(args.data, scale=args.scale)
-    model_config, model_section = _model_config(config, args, ds)
-    train_config, train_section = _train_config(config, args)
+    ds, model_config, train_config, resolved = _setup(args, config)
     out = _out_dir(args)
-    resolved = {"model": model_section or model_config.to_dict(),
-                "train": train_config.to_dict()}
     with open(os.path.join(out, "config.json"), "w") as fh:
         json.dump(resolved, fh, indent=2)
     try:
@@ -256,7 +295,7 @@ def _cmd_eval(args, config):
     yhat, pred = md.predict(ds.views, ds.mask, params)
     report = ev.compute_report(yhat, ds.labels, ds.class_count,
                                metadata={"checkpoint": args.checkpoint, "data": args.data})
-    text = json.dumps(report.to_dict(), indent=2)
+    text = json.dumps(asdict(report), indent=2)
     if args.out:
         os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w") as fh:
@@ -267,31 +306,15 @@ def _cmd_eval(args, config):
     return 0
 
 
-def _parse_float_list(text):
-    return [float(tok) for tok in text.split(",") if tok != ""]
-
-
-def _parse_int_list(text):
-    return [int(tok) for tok in text.split(",") if tok != ""]
-
-
 def _cmd_sweep(args, config):
     started = time.time()
-    ds = dt.load_dataset_dir(args.data, scale=args.scale)
-    model_config, model_section = _model_config(config, args, ds)
-    train_config, _ = _train_config(config, args)
-    etas = _parse_float_list(args.etas)
-    seeds = _parse_int_list(args.seeds) if args.seeds else [args.seed]
-    result = ev.missing_rate_sweep(ds, model_config, train_config, etas, seeds,
+    ds, model_config, train_config, resolved = _setup(args, config)
+    seeds = args.seeds or [args.seed]
+    result = ev.missing_rate_sweep(ds, model_config, train_config, args.etas, seeds,
                                    mask_test=not args.complete_test,
                                    dataset_name=os.path.basename(os.path.normpath(args.data)))
-    out = _out_dir(args)
-    report_path = os.path.join(out, f"sweep.{args.format}")
-    ev.emit_report(result, report_path, fmt=args.format)
-    resolved = {"model": model_section, "train": train_config.to_dict(),
-                "sweep": {"etas": etas, "seeds": seeds, "mask_test": not args.complete_test}}
-    _write_manifest(out, "sweep", resolved, seeds, _dataset_inputs(args.data),
-                    [report_path], started)
+    resolved["sweep"] = {"etas": args.etas, "seeds": seeds, "mask_test": not args.complete_test}
+    _emit(args, "sweep", "sweep", result, resolved, seeds, started)
     for point in result.points:
         acc = point.mean.get("acc")
         print(f"eta={point.eta}: mean acc {acc if acc is None else round(acc, 4)} "
@@ -301,35 +324,20 @@ def _cmd_sweep(args, config):
 
 def _cmd_grid(args, config):
     started = time.time()
-    ds = dt.load_dataset_dir(args.data, scale=args.scale)
-    model_config, model_section = _model_config(config, args, ds)
-    train_config, _ = _train_config(config, args)
-    section = _section(config, "grid")
-    grid = tr.GridSpec(
-        lambda_al_values=tuple(section.get("lambda_al_values", md.GRID_VALUES)),
-        lambda_co_values=tuple(section.get("lambda_co_values", md.GRID_VALUES)),
-        lambda_cl_values=tuple(section.get("lambda_cl_values", md.GRID_VALUES)),
-        metric=section.get("metric", "acc"),
-        val_fraction=section.get("val_fraction", 0.2),
-    )
+    ds, model_config, train_config, resolved = _setup(args, config)
+    grid = _build(tr.GridSpec, _section(config, "grid"), "grid")
     result = tr.grid_search(ds, None, model_config, grid, train_config)
     out = _out_dir(args)
     summary = os.path.join(out, "grid.csv")
-    import csv as _csv
-
     with open(summary, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["lambda_al", "lambda_co", "lambda_cl", "metric", "status", "detail"])
         for trial in result.trials:
             w = trial.weights
             writer.writerow([w.lambda_al, w.lambda_co, w.lambda_cl,
                              "" if trial.metric is None else repr(trial.metric),
                              trial.status, trial.detail])
-    resolved = {"model": model_section, "train": train_config.to_dict(),
-                "grid": {"lambda_al_values": list(grid.lambda_al_values),
-                         "lambda_co_values": list(grid.lambda_co_values),
-                         "lambda_cl_values": list(grid.lambda_cl_values),
-                         "metric": grid.metric}}
+    resolved["grid"] = asdict(grid)
     _write_manifest(out, "grid", resolved, [train_config.seed],
                     _dataset_inputs(args.data), [summary], started)
     if result.best is None:
@@ -344,22 +352,14 @@ def _cmd_grid(args, config):
 
 def _cmd_ablate(args, config):
     started = time.time()
-    ds = dt.load_dataset_dir(args.data, scale=args.scale)
-    model_config, model_section = _model_config(config, args, ds)
-    train_config, _ = _train_config(config, args)
-    etas = tuple(_parse_float_list(args.etas))
-    seeds = tuple(_parse_int_list(args.seeds) if args.seeds else [args.seed])
-    spec = ev.AblationSpec(etas=etas, seeds=seeds, lambda_co=args.lambda_co_fixed)
+    ds, model_config, train_config, resolved = _setup(args, config)
+    spec = ev.AblationSpec(etas=tuple(args.etas), seeds=tuple(args.seeds or [args.seed]),
+                           lambda_co=args.lambda_co_fixed)
     results = ev.ablation_run(ds, spec, model_config, train_config,
                               dataset_name=os.path.basename(os.path.normpath(args.data)))
-    out = _out_dir(args)
-    report_path = os.path.join(out, f"ablation.{args.format}")
-    ev.emit_report(results, report_path, fmt=args.format)
-    resolved = {"model": model_section, "train": train_config.to_dict(),
-                "ablate": {"etas": list(etas), "seeds": list(seeds),
-                           "lambda_co": spec.lambda_co}}
-    _write_manifest(out, "ablate", resolved, list(seeds), _dataset_inputs(args.data),
-                    [report_path], started)
+    resolved["ablate"] = {"etas": list(spec.etas), "seeds": list(spec.seeds),
+                          "lambda_co": spec.lambda_co}
+    _emit(args, "ablate", "ablation", results, resolved, list(spec.seeds), started)
     for variant, sweep in results.items():
         accs = [p.mean.get("acc") for p in sweep.points]
         print(f"{variant}: mean acc per eta {[None if a is None else round(a, 4) for a in accs]}")
@@ -368,27 +368,15 @@ def _cmd_ablate(args, config):
 
 def _cmd_surface(args, config):
     started = time.time()
-    ds = dt.load_dataset_dir(args.data, scale=args.scale)
-    model_config, model_section = _model_config(config, args, ds)
-    train_config, _ = _train_config(config, args)
-    fixed_name, fixed_value = args.fix.split("=", 1)
-    fixed = {fixed_name: float(fixed_value)}
-    grids = {}
-    for item in args.vary:
-        name, values = item.split("=", 1)
-        grids[name] = _parse_float_list(values)
-    seeds = _parse_int_list(args.seeds) if args.seeds else [args.seed]
+    ds, model_config, train_config, resolved = _setup(args, config)
+    fixed = dict([args.fix])
+    grids = dict(args.vary)
+    seeds = args.seeds or [args.seed]
     rows = ev.hyperparam_surface(ds, model_config, train_config, fixed, grids,
                                  args.eta, seeds,
                                  dataset_name=os.path.basename(os.path.normpath(args.data)))
-    out = _out_dir(args)
-    report_path = os.path.join(out, f"surface.{args.format}")
-    ev.emit_report(rows, report_path, fmt=args.format)
-    resolved = {"model": model_section, "train": train_config.to_dict(),
-                "surface": {"fixed": fixed, "grids": grids, "eta": args.eta,
-                            "seeds": seeds}}
-    _write_manifest(out, "surface", resolved, seeds, _dataset_inputs(args.data),
-                    [report_path], started)
+    resolved["surface"] = {"fixed": fixed, "grids": grids, "eta": args.eta, "seeds": seeds}
+    report_path = _emit(args, "surface", "surface", rows, resolved, seeds, started)
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"surface: {ok}/{len(rows)} trials ok; table at {report_path}")
     return 0
@@ -433,7 +421,7 @@ def _build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--views", type=int)
     p.add_argument("--classes", type=int)
-    p.add_argument("--dims", help="comma-separated per-view dims")
+    p.add_argument("--dims", type=int_list, help="comma-separated per-view dims")
     p.add_argument("--shared-dim", dest="shared_dim", type=int)
     p.add_argument("--snr", type=float)
     p.add_argument("--sep", type=float)
@@ -451,19 +439,18 @@ def _build_parser():
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--scale", action="store_true")
     p.add_argument("--out", help="write the metrics JSON here (default: stdout)")
-    p.set_defaults(func=_cmd_eval, seed=None)
+    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="missing-rate sweep")
     common(p)
     training_flags(p)
-    p.add_argument("--etas", required=True, help="comma-separated missing rates")
-    p.add_argument("--seeds", help="comma-separated seeds (default: --seed)")
+    p.add_argument("--etas", type=float_list, required=True,
+                   help="comma-separated missing rates")
+    p.add_argument("--seeds", type=int_list, help="comma-separated seeds (default: --seed)")
     p.add_argument("--complete-test", action="store_true",
                    help="evaluate on complete test data instead of masked")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -477,8 +464,8 @@ def _build_parser():
     p = sub.add_parser("ablate", help="component ablation across missing rates")
     common(p)
     training_flags(p)
-    p.add_argument("--etas", default="0.2,0.4")
-    p.add_argument("--seeds")
+    p.add_argument("--etas", type=float_list, default="0.2,0.4")
+    p.add_argument("--seeds", type=int_list)
     p.add_argument("--lambda-co-fixed", dest="lambda_co_fixed", type=float, default=0.1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_ablate)
@@ -486,12 +473,12 @@ def _build_parser():
     p = sub.add_parser("surface", help="hyperparameter surface at fixed eta")
     common(p)
     training_flags(p)
-    p.add_argument("--fix", required=True, metavar="NAME=VALUE",
+    p.add_argument("--fix", type=_assignment(float), required=True, metavar="NAME=VALUE",
                    help="the fixed weight, e.g. lambda_al=0.1")
-    p.add_argument("--vary", action="append", required=True, metavar="NAME=V1,V2,...",
-                   help="a varying weight grid (give twice)")
+    p.add_argument("--vary", type=_assignment(float_list), action="append", required=True,
+                   metavar="NAME=V1,V2,...", help="a varying weight grid (give twice)")
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--seeds")
+    p.add_argument("--seeds", type=int_list)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_surface)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,12 +61,15 @@ class MultiOmicsDataset:
         if n and np.any(self.mask.sum(axis=1) == 0):
             bad = int(np.flatnonzero(self.mask.sum(axis=1) == 0)[0])
             raise MaskError(f"subject {bad} has no observed view")
+        # copies, so a dataset derived with `replace` never aliases its source
         if self.view_names is None:
             self.view_names = [f"view{i}" for i in range(m)]
+        self.view_names = list(self.view_names)
         if self.feature_names is None:
             self.feature_names = [
                 [f"f{j}" for j in range(v.shape[1])] for v in self.views
             ]
+        self.feature_names = [list(f) for f in self.feature_names]
 
     @property
     def n_subjects(self) -> int:
@@ -90,15 +93,8 @@ class MultiOmicsDataset:
     def take(self, idx) -> "MultiOmicsDataset":
         """Subset of subjects, in the given order."""
         idx = np.asarray(idx, dtype=np.intp)
-        return MultiOmicsDataset(
-            views=[v[idx] for v in self.views],
-            mask=self.mask[idx],
-            labels=self.labels[idx],
-            class_count=self.class_count,
-            view_names=list(self.view_names),
-            feature_names=[list(f) for f in self.feature_names],
-            note=self.note,
-        )
+        return replace(self, views=[v[idx] for v in self.views], mask=self.mask[idx],
+                       labels=self.labels[idx])
 
 
 def restrict_views(ds: MultiOmicsDataset, view_indices) -> MultiOmicsDataset:
@@ -108,15 +104,10 @@ def restrict_views(ds: MultiOmicsDataset, view_indices) -> MultiOmicsDataset:
         raise ValueError("a restricted dataset needs at least two views")
     keep = ds.mask[:, view_indices]
     subjects = np.flatnonzero(keep.sum(axis=1) > 0)
-    return MultiOmicsDataset(
-        views=[ds.views[i][subjects] for i in view_indices],
-        mask=keep[subjects],
-        labels=ds.labels[subjects],
-        class_count=ds.class_count,
-        view_names=[ds.view_names[i] for i in view_indices],
-        feature_names=[list(ds.feature_names[i]) for i in view_indices],
-        note=ds.note,
-    )
+    return replace(ds, views=[ds.views[i][subjects] for i in view_indices],
+                   mask=keep[subjects], labels=ds.labels[subjects],
+                   view_names=[ds.view_names[i] for i in view_indices],
+                   feature_names=[ds.feature_names[i] for i in view_indices])
 
 
 def complete_cases(ds: MultiOmicsDataset) -> MultiOmicsDataset:
@@ -128,15 +119,8 @@ def minmax_scaled(ds: MultiOmicsDataset) -> MultiOmicsDataset:
     """Per-feature min-max scaling to [0, 1], the usual form for preprocessed
     omics matrices, fitted on observed rows; constant columns and unobserved
     cells become zeros."""
-    return MultiOmicsDataset(
-        views=[_minmax_scale(v, ds.mask[:, i]) for i, v in enumerate(ds.views)],
-        mask=ds.mask.copy(),
-        labels=ds.labels.copy(),
-        class_count=ds.class_count,
-        view_names=list(ds.view_names),
-        feature_names=[list(f) for f in ds.feature_names],
-        note=ds.note,
-    )
+    views = [_minmax_scale(v, ds.mask[:, i]) for i, v in enumerate(ds.views)]
+    return replace(ds, views=views, mask=ds.mask.copy(), labels=ds.labels.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +236,7 @@ def load_dataset(view_files, label_file, mask_file=None, class_count=None,
     if view_names is None:
         view_names = [os.path.splitext(os.path.basename(p))[0] for p in view_files]
     return MultiOmicsDataset(views=views, mask=mask, labels=labels,
-                             class_count=class_count, view_names=list(view_names),
+                             class_count=class_count, view_names=view_names,
                              feature_names=headers, note=note)
 
 
@@ -386,15 +370,9 @@ def apply_missingness(ds: MultiOmicsDataset, spec: MissingnessSpec) -> MultiOmic
 
 
 def replace_dataset_mask(ds: MultiOmicsDataset, mask) -> MultiOmicsDataset:
-    return MultiOmicsDataset(
-        views=[v.copy() for v in ds.views],
-        mask=np.asarray(mask, dtype=bool).copy(),
-        labels=ds.labels.copy(),
-        class_count=ds.class_count,
-        view_names=list(ds.view_names),
-        feature_names=[list(f) for f in ds.feature_names],
-        note=ds.note,
-    )
+    """A copy of `ds` under a new observation mask."""
+    return replace(ds, views=[v.copy() for v in ds.views],
+                   mask=np.array(mask, dtype=bool), labels=ds.labels.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +411,6 @@ class SyntheticSpec:
             raise ValueError("view_dims needs one positive entry per view")
         if self.snr <= 0:
             raise ValueError("snr must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_subjects": self.n_subjects, "n_views": self.n_views,
-            "view_dims": list(self.view_dims), "class_count": self.class_count,
-            "shared_dim": self.shared_dim, "snr": self.snr,
-            "class_sep": self.class_sep, "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticSpec":
-        return cls(**d)
 
 
 def _view_windows(shared_dim: int, n_views: int):

@@ -152,18 +152,6 @@ class MetricsReport:
     n_subjects: int
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "acc": self.acc, "weighted_f1": self.weighted_f1,
-            "macro_f1": self.macro_f1, "f1": self.f1, "auc": self.auc,
-            "confusion": self.confusion, "n_subjects": self.n_subjects,
-            "metadata": self.metadata,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**d)
-
 
 def compute_report(yhat, true, class_count: int, metadata=None) -> MetricsReport:
     """Build a MetricsReport from class probabilities and true labels."""
@@ -323,17 +311,9 @@ def partial_omics_run(ds: MultiOmicsDataset, view_subsets, model_config: ModelCo
         if len(subset) < 2:
             raise ValueError(f"view subset {subset} needs at least two views")
         sub_ds = restrict_views(ds, subset)
-        sub_config = ModelConfig(
-            num_views=len(subset),
-            input_dims=tuple(model_config.input_dims[i] for i in subset),
-            embed_dims=tuple(model_config.embed_dims[i] for i in subset),
-            num_classes=model_config.num_classes,
-            ae_hidden=model_config.ae_hidden,
-            dropout_p=model_config.dropout_p,
-            completion=model_config.completion,
-            bn_momentum=model_config.bn_momentum,
-            bn_eps=model_config.bn_eps,
-        )
+        sub_config = replace(model_config, num_views=len(subset),
+                             input_dims=[model_config.input_dims[i] for i in subset],
+                             embed_dims=[model_config.embed_dims[i] for i in subset])
         name = "+".join(ds.view_names[i] for i in subset)
         results[subset] = missing_rate_sweep(
             sub_ds, sub_config, train_config, etas, seeds,

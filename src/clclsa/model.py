@@ -22,7 +22,7 @@ import json
 import os
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -131,23 +131,6 @@ class ModelConfig:
     def fused_dim(self) -> int:
         return sum(self.embed_dims)
 
-    def to_dict(self) -> dict:
-        return {
-            "num_views": self.num_views,
-            "input_dims": list(self.input_dims),
-            "embed_dims": list(self.embed_dims),
-            "num_classes": self.num_classes,
-            "ae_hidden": list(self.ae_hidden),
-            "dropout_p": self.dropout_p,
-            "completion": self.completion,
-            "bn_momentum": self.bn_momentum,
-            "bn_eps": self.bn_eps,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 # Published network settings per dataset. KIPAN is listed with 5 categories in
 # the source table but described as a 3-class problem (658 subjects) in the
@@ -181,14 +164,6 @@ class LossWeights:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {"lambda_al": self.lambda_al, "lambda_co": self.lambda_co,
-                "lambda_cl": self.lambda_cl, "alpha": self.alpha}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossWeights":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -197,10 +172,6 @@ class LossBreakdown:
     l_co: float
     l_cl: float
     total: float
-
-    def to_dict(self) -> dict:
-        return {"l_clf": self.l_clf, "l_al": self.l_al, "l_co": self.l_co,
-                "l_cl": self.l_cl, "total": self.total}
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +344,12 @@ def complete_missing(zhats, mask, params: CLCLSAParams, mode: str = "eval",
                      bn_stats=None):
     """Fill missing per-view latents from the observed views.
 
-    `zhats` holds one N x D tensor per view whose observed rows are valid
-    (missing rows are ignored and overwritten). Each missing latent is the mean
-    of the translations from every observed view of that subject; observed
-    rows pass through unchanged. Returns (completed list, provenance) where
-    provenance[j, i] is True iff subject j's view i was completed.
+    `zhats` holds one tensor per view with a row for each subject observed in
+    that view, in subject order (the form `ForwardCache.zhat_obs` holds). Each
+    missing latent is the mean of the translations from every observed view
+    of that subject; observed rows pass through unchanged. Returns (list of
+    N x D completed latents, provenance) where provenance[j, i] is True iff
+    subject j's view i was completed.
 
     With the "zero" completion policy the missing rows are left at zero, the
     trivial-fill reference used by property checks.
@@ -393,11 +365,11 @@ def complete_missing(zhats, mask, params: CLCLSAParams, mode: str = "eval",
         raise SubjectError(f"subject {bad} has no observed view")
     cfg = params.config
     provenance = ~mask
+    full = [scatter_rows(z, np.flatnonzero(mask[:, i]), n) for i, z in enumerate(zhats)]
     out = []
     for i in range(m):
-        obs_rows = np.flatnonzero(mask[:, i])
         miss_rows = np.flatnonzero(~mask[:, i])
-        base = scatter_rows(gather_rows(zhats[i], obs_rows), obs_rows, n)
+        base = full[i]
         if miss_rows.size == 0 or cfg.completion == "zero":
             out.append(base)
             continue
@@ -408,7 +380,7 @@ def complete_missing(zhats, mask, params: CLCLSAParams, mode: str = "eval",
             sel = miss_rows[mask[miss_rows, k]]
             if sel.size == 0:
                 continue
-            pred = cross_predict(gather_rows(zhats[k], sel), k, i, params, mode, bn_stats)
+            pred = cross_predict(gather_rows(full[k], sel), k, i, params, mode, bn_stats)
             acc = nm.add(acc, scatter_rows(pred, sel, n))
         # observed rows keep weight 1; missing rows average their sources
         inv = np.ones((n, 1))
@@ -443,7 +415,7 @@ def forward_full(views, mask, params: CLCLSAParams, mode: str,
                  rngs=None, completion_bn_stats=None) -> ForwardCache:
     """Run every view, complete missing latents, fuse, and classify."""
     mask = np.asarray(mask, dtype=bool)
-    n, m = mask.shape
+    m = mask.shape[1]
     cfg = params.config
     if len(views) != m or m != cfg.num_views:
         raise nm.ShapeError(f"expected {cfg.num_views} views, got {len(views)}")
@@ -455,10 +427,9 @@ def forward_full(views, mask, params: CLCLSAParams, mode: str,
         x = constant(np.asarray(views[i], dtype=np.float64)[obs])
         rng = rngs[i] if rngs is not None else None
         per_view.append(forward_view(x, params, i, mode, rng))
-    scattered = [scatter_rows(vf.zhat, obs, n) for vf, obs in zip(per_view, obs_indices)]
     completion_mode = "eval"
     stats = completion_bn_stats if mode == "train" else None
-    zhat_full, provenance = complete_missing(scattered, mask, params,
+    zhat_full, provenance = complete_missing([vf.zhat for vf in per_view], mask, params,
                                              completion_mode, stats)
     fused = fuse(zhat_full)
     yhat = softmax_rows(affine(fused, params["classifier.W"], params["classifier.b"]))
@@ -744,7 +715,7 @@ def save_checkpoint(path, params: CLCLSAParams, extra=None) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "params": {
             name: {"shape": list(t.data.shape), "values": t.data.ravel(order="C").tolist()}
             for name, t in params.tensors().items()
@@ -778,7 +749,7 @@ def load_checkpoint(path) -> CLCLSAParams:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    config = ModelConfig.from_dict(doc["config"])
+    config = ModelConfig(**doc["config"])
     tensors: "OrderedDict[str, Tensor]" = OrderedDict()
     for name, entry in doc["params"].items():
         shape = tuple(entry["shape"])

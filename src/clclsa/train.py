@@ -47,6 +47,7 @@ class TrainConfig:
     disabled_terms: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "disabled_terms", tuple(self.disabled_terms))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.initial_lr <= 0:
@@ -59,25 +60,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 (batch norm needs 2 rows)")
         if any(t not in TERM_NAMES for t in self.disabled_terms):
             raise ValueError(f"disabled_terms must be among {TERM_NAMES}")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "initial_lr": self.initial_lr,
-            "lr_schedule": self.lr_schedule, "lr_decay_factor": self.lr_decay_factor,
-            "lr_decay_every": self.lr_decay_every, "batch_size": self.batch_size,
-            "seed": self.seed, "weights": self.weights.to_dict(),
-            "reduction": self.reduction, "eval_every": self.eval_every,
-            "disabled_terms": list(self.disabled_terms),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "weights" in d and isinstance(d["weights"], dict):
-            d["weights"] = LossWeights.from_dict(d["weights"])
-        if "disabled_terms" in d:
-            d["disabled_terms"] = tuple(d["disabled_terms"])
-        return cls(**d)
 
 
 @dataclass

@@ -235,3 +235,54 @@ class TestErrorExitCodes:
         # the last-good checkpoint is still written
         assert (run_dir / "checkpoint.json").exists()
         capsys.readouterr()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command, key", [
+        ("train", "model.foo"),
+        ("train", "train.epoch"),
+        ("train", "train.weights.lambda_xx"),
+        ("synth", "synth.foo"),
+        ("grid", "grid.foo"),
+    ])
+    def test_unknown_config_key(self, tmp_path, synth_dir, capsys, command, key):
+        argv = [command, "--seed", "1", "--out", str(tmp_path / "out"), "--set", f"{key}=1"]
+        if command != "synth":
+            argv += ["--data", str(synth_dir), "--epochs", "1", *TRAIN_ARGS[-6:]]
+        assert run(argv) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["sweep", "--etas", "a,b"],
+        ["sweep", "--etas", "0.1", "--seeds", "x"],
+        ["synth", "--dims", "x,y"],
+        ["surface", "--eta", "0.2", "--fix", "lambda_al",
+         "--vary", "lambda_co=0.1", "--vary", "lambda_cl=0.1"],
+        ["surface", "--eta", "0.2", "--fix", "lambda_al=0.1",
+         "--vary", "lambda_co", "--vary", "lambda_cl=0.1"],
+    ], ids=["etas", "seeds", "dims", "fix", "vary"])
+    def test_malformed_flag_value(self, tmp_path, synth_dir, capsys, flags):
+        argv = [*flags, "--seed", "1", "--out", str(tmp_path / "out")]
+        if flags[0] != "synth":
+            argv += ["--data", str(synth_dir), "--epochs", "1"]
+        assert run(argv) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", [["--config", "f.json"], ["--set", "a=1"]],
+                             ids=["config", "set"])
+    def test_eval_takes_no_config(self, tmp_path, synth_dir, capsys, flag):
+        assert run(["eval", "--checkpoint", str(tmp_path / "ck.json"),
+                    "--data", str(synth_dir), *flag]) == 1
+        capsys.readouterr()
+
+
+class TestGridManifest:
+    def test_records_val_fraction(self, tmp_path, synth_dir):
+        out = tmp_path / "grid"
+        assert run(["grid", "--data", str(synth_dir), "--out", str(out), "--seed", "4",
+                    "--epochs", "2", *TRAIN_ARGS[-6:],
+                    "--set", "grid.lambda_al_values=[0.0]",
+                    "--set", "grid.lambda_cl_values=[0.0]",
+                    "--set", "grid.val_fraction=0.25"]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["resolved_config"]["grid"]["val_fraction"] == 0.25

@@ -43,6 +43,17 @@ class TestDatasetContainer:
         assert kept.mask.all()
 
 
+    def test_derived_datasets_own_their_names(self):
+        ds = small_dataset()
+        derived = [ds.take([0, 1]), dt.restrict_views(ds, [0, 1]), dt.minmax_scaled(ds),
+                   dt.replace_dataset_mask(ds, ds.mask)]
+        for out in derived:
+            out.view_names[0] = "changed"
+            out.feature_names[0][0] = "changed"
+        assert ds.view_names[0] == "view0"
+        assert ds.feature_names[0][0] == "f0"
+
+
 class TestLoadWrite:
     def test_load_shapes(self, tmp_path):
         ds = small_dataset()

@@ -171,7 +171,8 @@ class TestCompleteMissing:
         rng = np.random.default_rng(8)
         zs = [nm.constant(rng.normal(size=(1, 4))) for _ in range(3)]
         mask = np.array([[1, 0, 0]], dtype=bool)
-        out, prov = md.complete_missing(zs, mask, params)
+        out, prov = md.complete_missing([z.data[mask[:, i]] for i, z in enumerate(zs)],
+                                        mask, params)
         h21 = md.cross_predict(zs[0], 0, 1, params, "eval").data
         h31 = md.cross_predict(zs[0], 0, 2, params, "eval").data
         np.testing.assert_array_equal(out[1].data, h21)
@@ -183,10 +184,18 @@ class TestCompleteMissing:
         rng = np.random.default_rng(9)
         zs = [nm.constant(rng.normal(size=(1, 4))) for _ in range(3)]
         mask = np.array([[1, 1, 0]], dtype=bool)
-        out, _ = md.complete_missing(zs, mask, params)
+        out, _ = md.complete_missing([z.data[mask[:, i]] for i, z in enumerate(zs)],
+                                     mask, params)
         h31 = md.cross_predict(zs[0], 0, 2, params, "eval").data
         h32 = md.cross_predict(zs[1], 1, 2, params, "eval").data
         np.testing.assert_allclose(out[2].data, 0.5 * (h31 + h32), atol=1e-15)
+
+    def test_latent_row_count_must_match_mask(self):
+        params = tiny_params()
+        zs = [nm.constant(np.zeros((2, 4))) for _ in range(3)]
+        mask = np.array([[1, 1, 1], [1, 0, 1]], dtype=bool)
+        with pytest.raises(nm.ShapeError):
+            md.complete_missing(zs, mask, params)
 
     def test_zero_observed_views_rejected(self):
         params = tiny_params()
@@ -203,7 +212,8 @@ class TestCompleteMissing:
         rng = np.random.default_rng(10)
         zs = [nm.constant(rng.normal(size=(2, 4))) for _ in range(3)]
         mask = np.array([[1, 0, 1], [1, 1, 1]], dtype=bool)
-        out, _ = md.complete_missing(zs, mask, zero_params)
+        out, _ = md.complete_missing([z.data[mask[:, i]] for i, z in enumerate(zs)],
+                                     mask, zero_params)
         np.testing.assert_array_equal(out[1].data[0], 0.0)
         np.testing.assert_array_equal(out[1].data[1], zs[1].data[1])
 

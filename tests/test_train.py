@@ -1,7 +1,8 @@
 """Training loop, schedule, ablation wiring, grid search."""
 
+import json
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ def quick_config(**kw):
                 weights=md.LossWeights(0.1, 0.1, 0.01, 9.0))
     base.update(kw)
     return tr.TrainConfig(**base)
+
+
+class TestConfigJson:
+    def test_configs_round_trip_through_json(self):
+        cfg = quick_config(batch_size=8, disabled_terms=["co"])
+        doc = json.loads(json.dumps(asdict(cfg)))
+        doc["weights"] = md.LossWeights(**doc["weights"])
+        assert tr.TrainConfig(**doc) == cfg
+        model = md.preset("rosmap")
+        assert md.ModelConfig(**json.loads(json.dumps(asdict(model)))) == model
 
 
 class TestLrSchedule:
@@ -78,7 +89,7 @@ class TestTrain:
 
         def recording(*args, **kwargs):
             total, breakdown, cache = build(*args, **kwargs)
-            seen.append([*breakdown.to_dict().values(), *md.latent_variances(cache)])
+            seen.append([*astuple(breakdown), *md.latent_variances(cache)])
             return total, breakdown, cache
 
         monkeypatch.setattr(md, "build_objective", recording)
@@ -86,14 +97,14 @@ class TestTrain:
         _, logs = tr.train(ds, TINY_MODEL, quick_config(epochs=3, batch_size=8))
         assert len(seen) == 9
         for entry, batches in zip(logs, np.split(np.array(seen), 3)):
-            logged = [*entry.breakdown.to_dict().values(), *entry.latent_variance]
+            logged = [*astuple(entry.breakdown), *entry.latent_variance]
             np.testing.assert_allclose(logged, batches.mean(axis=0), rtol=1e-14, atol=0)
             assert logged != list(batches[-1])
         seen.clear()
         _, logs = tr.train(ds, TINY_MODEL, quick_config(epochs=3, batch_size=ds.n_subjects))
         assert len(seen) == 3
         for entry, values in zip(logs, seen):
-            assert [*entry.breakdown.to_dict().values(), *entry.latent_variance] == values
+            assert [*astuple(entry.breakdown), *entry.latent_variance] == values
 
     def test_bitwise_deterministic(self):
         ds = tiny_dataset(eta=0.3)
