@@ -8,8 +8,9 @@ digests, artifact paths, and duration. Stochastic subcommands require an
 explicit --seed; re-running the same command line reproduces every emitted
 number bitwise in single-thread mode.
 
-Exit codes: 0 success, 1 usage error (including an unknown config key or a
-malformed flag value), 2 runtime/numeric failure.
+Exit codes: 0 success, 1 usage error (including an unknown config section or
+key, a malformed flag value, or --etas out of ascending order), 2
+runtime/numeric failure.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 STOCHASTIC = {"synth", "mask", "train", "sweep", "grid", "ablate", "surface"}
+SECTIONS = {"model", "train", "synth", "mask", "grid"}
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +87,15 @@ def _section(config, name):
     return dict(value)
 
 
-def _build(cls, section, name):
-    """Construct `cls` from a config section, rejecting keys it has no field for."""
-    known = {f.name for f in fields(cls)}
+def _check_keys(section, known, prefix=""):
     for key in section:
         if key not in known:
-            raise UsageError(f"unknown config key {name}.{key}")
+            raise UsageError(f"unknown config key {prefix}{key}")
+
+
+def _build(cls, section, name):
+    """Construct `cls` from a config section, rejecting keys it has no field for."""
+    _check_keys(section, {f.name for f in fields(cls)}, name + ".")
     return cls(**section)
 
 
@@ -192,6 +197,13 @@ def float_list(text):
     return [float(tok) for tok in text.split(",") if tok != ""]
 
 
+def ascending_float_list(text):
+    values = float_list(text)
+    if values != sorted(values):
+        raise ValueError(text)
+    return values
+
+
 def int_list(text):
     return [int(tok) for tok in text.split(",") if tok != ""]
 
@@ -234,8 +246,9 @@ def _cmd_synth(args, config):
 
 def _cmd_mask(args, config):
     started = time.time()
-    ds = dt.load_dataset_dir(args.data)
     section = _section(config, "mask")
+    _check_keys(section, {"eta", "policy"}, "mask.")
+    ds = dt.load_dataset_dir(args.data)
     eta = args.eta if args.eta is not None else section.get("eta")
     if eta is None:
         raise UsageError("mask needs --eta")
@@ -448,7 +461,7 @@ def _build_parser():
     p = sub.add_parser("sweep", help="missing-rate sweep")
     common(p)
     training_flags(p)
-    p.add_argument("--etas", type=float_list, required=True,
+    p.add_argument("--etas", type=ascending_float_list, required=True,
                    help="comma-separated missing rates")
     p.add_argument("--seeds", type=int_list, help="comma-separated seeds (default: --seed)")
     p.add_argument("--complete-test", action="store_true",
@@ -464,7 +477,7 @@ def _build_parser():
     p = sub.add_parser("ablate", help="component ablation across missing rates")
     common(p)
     training_flags(p)
-    p.add_argument("--etas", type=float_list, default="0.2,0.4")
+    p.add_argument("--etas", type=ascending_float_list, default="0.2,0.4")
     p.add_argument("--seeds", type=int_list)
     p.add_argument("--lambda-co-fixed", dest="lambda_co_fixed", type=float, default=0.1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -495,6 +508,7 @@ def dispatch(argv) -> int:
             raise UsageError("surface needs exactly two --vary grids")
         config = _apply_sets(_load_config(getattr(args, "config", None)),
                              getattr(args, "set", None))
+        _check_keys(config, SECTIONS)
         return args.func(args, config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

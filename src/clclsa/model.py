@@ -18,7 +18,9 @@ that rewards mutual information between paired latents while an entropy bonus
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import tempfile
 from collections import OrderedDict
@@ -703,27 +705,43 @@ def latent_variances(cache: ForwardCache) -> list:
 # Checkpoints
 
 CHECKPOINT_FORMAT = "clclsa-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+
+def _to_base64(a) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")
+
+
+def _from_base64(text, where, count=None) -> np.ndarray:
+    """The float64 values of a base64 payload; `count` is the length it must have."""
+    raw = base64.b64decode(text, validate=True)
+    expected = len(raw) // 8 if count is None else count
+    if len(raw) != 8 * expected:
+        raise ValueError(f"{where}: payload holds {len(raw)} bytes, not {expected} float64 values")
+    return np.frombuffer(raw, "<f8").astype(np.float64)
 
 
 def save_checkpoint(path, params: CLCLSAParams, extra=None) -> None:
-    """Write config + every named tensor (row-major) + batch-norm stats as JSON.
+    """Write config + every named tensor + batch-norm stats as one JSON document.
 
-    Floats are serialized via repr so a load reproduces every value exactly.
-    The file is written atomically.
+    Each tensor (row-major, with its shape) and each batch-norm running mean
+    and variance is a base64 string of its little-endian float64 bytes, so a
+    load reproduces every value bit for bit. The layout has no timestamps:
+    saving the same parameters twice writes the same bytes. The file is
+    written atomically.
     """
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
         "params": {
-            name: {"shape": list(t.data.shape), "values": t.data.ravel(order="C").tolist()}
+            name: {"shape": list(t.data.shape), "values": _to_base64(t.data)}
             for name, t in params.tensors().items()
         },
         "bn_states": {
             name: {
-                "running_mean": st.running_mean.ravel().tolist(),
-                "running_var": st.running_var.ravel().tolist(),
+                "running_mean": _to_base64(st.running_mean),
+                "running_var": _to_base64(st.running_var),
                 "momentum": st.momentum,
                 "eps": st.eps,
             }
@@ -745,21 +763,30 @@ def save_checkpoint(path, params: CLCLSAParams, extra=None) -> None:
 
 
 def load_checkpoint(path) -> CLCLSAParams:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    Raises ValueError for a file of another format, any version but the
+    current one, or a payload whose length does not match its shape.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+    if doc.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: checkpoint version {doc.get('version')!r} is not "
+                         f"supported (this build reads version {CHECKPOINT_VERSION})")
     config = ModelConfig(**doc["config"])
     tensors: "OrderedDict[str, Tensor]" = OrderedDict()
     for name, entry in doc["params"].items():
         shape = tuple(entry["shape"])
-        arr = np.array(entry["values"], dtype=np.float64).reshape(shape)
-        tensors[name] = parameter(arr, name)
+        arr = _from_base64(entry["values"], f"{path}: {name}", math.prod(shape))
+        tensors[name] = parameter(arr.reshape(shape), name)
     bn_states = {}
     for name, entry in doc["bn_states"].items():
-        dim = len(entry["running_mean"])
-        st = BatchNormState(dim, entry["momentum"], entry["eps"])
-        st.running_mean = np.array(entry["running_mean"], dtype=np.float64).reshape(1, dim)
-        st.running_var = np.array(entry["running_var"], dtype=np.float64).reshape(1, dim)
+        mean = _from_base64(entry["running_mean"], f"{path}: {name}.running_mean")
+        var = _from_base64(entry["running_var"], f"{path}: {name}.running_var", mean.size)
+        st = BatchNormState(mean.size, entry["momentum"], entry["eps"])
+        st.running_mean = mean.reshape(1, -1)
+        st.running_var = var.reshape(1, -1)
         bn_states[name] = st
     return CLCLSAParams(config, tensors, bn_states)

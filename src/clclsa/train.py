@@ -164,6 +164,8 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
             _, pred = md.predict(ds.views, ds.mask, params)
             entry.train_acc = float((pred == ds.labels).mean())
         logs.append(entry)
+    # the last step's gradients would double the trained model's resident size
+    nm.zero_grads(tensors)
     return params, logs
 
 

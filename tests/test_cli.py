@@ -252,6 +252,24 @@ class TestUsageErrors:
         assert run(argv) == 1
         assert key in capsys.readouterr().err
 
+    def test_unknown_section_via_set(self, tmp_path, synth_dir, capsys):
+        assert run(["train", "--data", str(synth_dir), "--out", str(tmp_path / "out"),
+                    "--epochs", "1", "--seed", "1", "--set", "trian.epochs=3"]) == 1
+        assert "trian" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_section_in_config_file(self, tmp_path, synth_dir, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"epochs": 1}, "trian": {"epochs": 3}}))
+        assert run(["train", "--data", str(synth_dir), "--out", str(tmp_path / "out"),
+                    "--seed", "1", "--config", str(config)]) == 1
+        assert "trian" in capsys.readouterr().err
+
+    def test_unknown_mask_key(self, tmp_path, synth_dir, capsys):
+        assert run(["mask", "--data", str(synth_dir), "--out", str(tmp_path / "out"),
+                    "--seed", "1", "--set", "mask.etaa=0.3"]) == 1
+        assert "mask.etaa" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ["sweep", "--etas", "a,b"],
         ["sweep", "--etas", "0.1", "--seeds", "x"],
@@ -260,7 +278,9 @@ class TestUsageErrors:
          "--vary", "lambda_co=0.1", "--vary", "lambda_cl=0.1"],
         ["surface", "--eta", "0.2", "--fix", "lambda_al=0.1",
          "--vary", "lambda_co", "--vary", "lambda_cl=0.1"],
-    ], ids=["etas", "seeds", "dims", "fix", "vary"])
+        ["sweep", "--etas", "0.4,0.2"],
+        ["ablate", "--etas", "0.4,0.2"],
+    ], ids=["etas", "seeds", "dims", "fix", "vary", "etas_unsorted", "ablate_etas_unsorted"])
     def test_malformed_flag_value(self, tmp_path, synth_dir, capsys, flags):
         argv = [*flags, "--seed", "1", "--out", str(tmp_path / "out")]
         if flags[0] != "synth":

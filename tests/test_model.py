@@ -1,8 +1,13 @@
 """Model graph: gating, completion, losses, prediction, checkpoints."""
 
+import base64
+import json
+import warnings
+
 import numpy as np
 import pytest
 
+from clclsa import cli
 from clclsa import model as md
 from clclsa import numerics as nm
 from tests.test_numerics import finite_difference, max_rel_error
@@ -680,3 +685,106 @@ class TestCheckpoint:
         path.write_text("{}")
         with pytest.raises(ValueError):
             md.load_checkpoint(path)
+
+    def test_same_params_write_same_bytes(self, tmp_path):
+        params = tiny_params(seed=14)
+        md.save_checkpoint(tmp_path / "a.json", params, extra={"note": 1})
+        md.save_checkpoint(tmp_path / "b.json", params, extra={"note": 1})
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_document_layout(self, tmp_path):
+        params = tiny_params(seed=15)
+        path = tmp_path / "ckpt.json"
+        md.save_checkpoint(path, params, extra={"note": "x"})
+        doc = json.loads(path.read_text())
+        assert doc["format"] == "clclsa-checkpoint" and doc["version"] == 2
+        assert md.ModelConfig(**doc["config"]) == params.config
+        assert doc["extra"] == {"note": "x"}
+        w = doc["params"]["view0.embed.W"]
+        assert w["shape"] == [6, 4]
+        np.testing.assert_array_equal(
+            np.frombuffer(base64.b64decode(w["values"]), "<f8").reshape(6, 4),
+            params["view0.embed.W"].data)
+        for entry in doc["bn_states"].values():
+            assert isinstance(entry["running_mean"], str)
+            assert isinstance(entry["running_var"], str)
+
+    def test_extreme_values_round_trip_bitwise(self, tmp_path):
+        extremes = np.array([-0.0, 5e-324, 1.7976931348623157e308, np.nextafter(1.0, 2.0)])
+        params = tiny_params(seed=16)
+        params["view1.fatt.W"].data.ravel()[:4] = extremes
+        st = params.bn_states["view0.enc1_bn"]
+        st.running_mean.ravel()[:4] = extremes
+        st.running_var.ravel()[:4] = extremes[::-1]
+        path = tmp_path / "ckpt.json"
+        md.save_checkpoint(path, params)
+        loaded = md.load_checkpoint(path)
+        for name, t in params.tensors().items():
+            np.testing.assert_array_equal(loaded[name].data.view(np.uint64), t.data.view(np.uint64))
+            assert loaded[name].data.flags.writeable
+        for name, s in params.bn_states.items():
+            for got, want in ((loaded.bn_states[name].running_mean, s.running_mean),
+                              (loaded.bn_states[name].running_var, s.running_var)):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rejects_non_object_json(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError):
+            md.load_checkpoint(path)
+
+    @staticmethod
+    def edited_checkpoint(tmp_path, edit):
+        """A checkpoint of tiny_params() whose JSON document `edit` changed in place."""
+        path = tmp_path / "ckpt.json"
+        md.save_checkpoint(path, tiny_params())
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_rejects_version_one(self, tmp_path):
+        path = self.edited_checkpoint(tmp_path, lambda doc: doc.update(version=1))
+        with pytest.raises(ValueError, match="version 1"):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry_name, key", [("classifier.W", "values"),
+                                                  ("view0.enc1_bn", "running_var")],
+                             ids=["tensor", "bn_stat"])
+    def test_rejects_payload_one_value_short(self, tmp_path, entry_name, key):
+        def drop_last_value(doc):
+            entry = doc["params" if key == "values" else "bn_states"][entry_name]
+            entry[key] = base64.b64encode(base64.b64decode(entry[key])[:-8]).decode()
+
+        path = self.edited_checkpoint(tmp_path, drop_last_value)
+        with pytest.raises(ValueError, match=f"{entry_name}.*payload holds"):
+            md.load_checkpoint(path)
+
+    def test_rejects_cut_base64(self, tmp_path):
+        def cut(doc):
+            entry = doc["params"]["classifier.W"]
+            entry["values"] = entry["values"][:-1]
+
+        with pytest.raises(ValueError):
+            md.load_checkpoint(self.edited_checkpoint(tmp_path, cut))
+
+    def test_aborted_cli_train_checkpoint_loads(self, tmp_path, capsys):
+        data, masked, run = tmp_path / "data", tmp_path / "masked", tmp_path / "run"
+        assert cli.dispatch(["synth", "--n", "60", "--views", "3", "--dims", "6,6,6",
+                             "--shared-dim", "6", "--seed", "7", "--out", str(data)]) == 0
+        assert cli.dispatch(["mask", "--data", str(data), "--eta", "0.4", "--seed", "2",
+                             "--out", str(masked)]) == 0
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.dispatch(["train", "--data", str(masked), "--out", str(run),
+                                 "--seed", "3", "--epochs", "50", "--initial-lr", "1e200",
+                                 "--lr-schedule", "constant", "--lambda-co", "1.0",
+                                 "--set", "model.embed_dims=[4,4,4]",
+                                 "--set", "model.ae_hidden=[4,3]"])
+        assert code == 2
+        capsys.readouterr()
+        path = run / "checkpoint.json"
+        extra = json.loads(path.read_text())["extra"]
+        assert extra["aborted"] is True and set(extra) == {"aborted", "term", "epoch"}
+        loaded = md.load_checkpoint(path)
+        assert loaded.config.embed_dims == (4, 4, 4)

@@ -115,6 +115,10 @@ class TestTrain:
         for name, t in p1.tensors().items():
             np.testing.assert_array_equal(t.data, p2[name].data)
 
+    def test_returns_parameters_without_gradients(self):
+        params, _ = tr.train(tiny_dataset(eta=0.3), TINY_MODEL, quick_config(epochs=2))
+        assert all(t.grad is None for t in params.tensors().values())
+
     def test_one_log_entry_per_epoch(self):
         ds = tiny_dataset()
         _, logs = tr.train(ds, TINY_MODEL, quick_config(epochs=7))
