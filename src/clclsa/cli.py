@@ -4,7 +4,8 @@ Subcommands: synth, mask, train, eval, sweep, grid, ablate, surface. Every
 subcommand except eval accepts --config FILE (JSON) with individual flags
 taking precedence (and --set section.key=value for any leaf field), and
 writes a manifest recording the resolved configuration, seeds, input
-digests, artifact paths, and duration. Stochastic subcommands require an
+digests, artifact paths, the environment (Python, numpy, BLAS and the BLAS
+thread variables), and duration. Stochastic subcommands require an
 explicit --seed; re-running the same command line reproduces every emitted
 number bitwise in single-thread mode.
 
@@ -20,10 +21,13 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 import time
 from dataclasses import asdict, fields
+
+import numpy as np
 
 from . import __version__
 from . import data as dt
@@ -137,6 +141,26 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+# the bitwise re-run contract holds at one BLAS thread; manifests record these
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _environment():
+    """Python, numpy and BLAS versions and the BLAS thread variables of this process."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 only prints its build configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
 def _write_manifest(out_dir, command, resolved, seeds, inputs, artifacts, started):
     manifest = {
         "command": command,
@@ -145,6 +169,7 @@ def _write_manifest(out_dir, command, resolved, seeds, inputs, artifacts, starte
         "input_digests": {path: _sha256(path) for path in inputs if os.path.exists(path)},
         "artifacts": sorted(artifacts),
         "tool_version": __version__,
+        "environment": _environment(),
         "duration_seconds": time.time() - started,
     }
     path = os.path.join(out_dir, "run_manifest.json")

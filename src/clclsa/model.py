@@ -43,7 +43,6 @@ from .numerics import (
     gather_rows,
     log,
     mean_all,
-    mean_outer,
     mul,
     neg,
     parameter,
@@ -55,8 +54,11 @@ from .numerics import (
     softmax_rows,
     sub,
     sum_all,
-    unit_sum,
 )
+
+# joint_distribution fuses these two; bench/tracing.py still wraps them on this
+# module by name
+from .numerics import mean_outer, unit_sum  # noqa: F401
 
 LOG_FLOOR = 1e-12
 GRID_VALUES = (0.0, 0.01, 0.02, 0.05, 0.1, 1.0)
@@ -307,39 +309,103 @@ def fuse(zhats) -> Tensor:
     return concat_cols(zhats)
 
 
-def _encode(z, view, params, mode, bn_stats):
-    p = params
-    h = affine(z, p[f"view{view}.enc1.W"], p[f"view{view}.enc1.b"])
-    h = nm.batch_norm(h, p[f"view{view}.enc1_bn.gamma"], p[f"view{view}.enc1_bn.beta"],
-                      bn_stats[f"view{view}.enc1_bn"], mode)
-    h = relu(h)
-    h = affine(h, p[f"view{view}.enc2.W"], p[f"view{view}.enc2.b"])
-    return relu(h)
+def _bn_relu(x, w, b, gamma, beta, state, mode):
+    """affine -> batch norm -> ReLU on arrays, with `numerics.batch_norm`'s arithmetic.
+
+    Train mode normalizes by batch statistics and updates `state`; eval mode
+    normalizes by its running statistics. Returns the output and the arrays
+    `_bn_relu_backward` reuses.
+    """
+    a = x @ w.data + b.data
+    if mode == "train":
+        n = a.shape[0]
+        if n < 2:
+            raise nm.BatchSizeError(f"batch_norm needs at least 2 rows in train mode, got {n}")
+        mu = a.mean(axis=0, keepdims=True)
+        var = a.var(axis=0, keepdims=True)
+        inv_std = 1.0 / np.sqrt(var + state.eps)
+        xhat = (a - mu) * inv_std
+        m = state.momentum
+        state.running_mean = (1.0 - m) * state.running_mean + m * mu
+        state.running_var = (1.0 - m) * state.running_var + m * var
+    else:
+        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        xhat = (a - state.running_mean) * inv_std
+    y = xhat * gamma.data + beta.data
+    return np.maximum(y, 0.0), (y, xhat, inv_std)
 
 
-def _decode(code, view, params, mode, bn_stats, source):
-    p = params
-    h = affine(code, p[f"view{view}.dec1.W"], p[f"view{view}.dec1.b"])
-    h = nm.batch_norm(h, p[f"view{view}.dec1_bn.gamma"], p[f"view{view}.dec1_bn.beta"],
-                      bn_stats[f"view{view}.dec1_bn@src{source}"], mode)
-    h = relu(h)
-    return affine(h, p[f"view{view}.dec2.W"], p[f"view{view}.dec2.b"])
+def _bn_relu_backward(g, x, w, b, gamma, beta, saved, mode, need_x):
+    """Add `_bn_relu`'s parameter partials for output gradient g; returns d/dx if need_x."""
+    y, xhat, inv_std = saved
+    g = g * (y > 0)
+    nm.accumulate_grad(gamma, (g * xhat).sum(axis=0, keepdims=True))
+    nm.accumulate_grad(beta, g.sum(axis=0, keepdims=True))
+    if mode == "train":
+        n = g.shape[0]
+        dxhat = g * gamma.data
+        g = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0, keepdims=True)
+                             - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
+    else:
+        g = g * (gamma.data * inv_std)
+    nm.accumulate_grad(w, x.T @ g)
+    nm.accumulate_grad(b, g.sum(axis=0, keepdims=True))
+    return g @ w.data.T if need_x else None
 
 
 def cross_predict(z, source: int, target: int, params: CLCLSAParams, mode: str,
                   bn_stats=None) -> Tensor:
     """Translate view `source`'s latent into view `target`'s latent space.
 
-    The translator is always the composition decoder_target(encoder_source);
-    encoder and decoder weights are shared across all pairs involving their
-    view, while the decoder's batch-norm running statistics are tracked per
-    source route (each encoder feeds the decoder a different distribution).
+    The translator is always the composition decoder_target(encoder_source):
+    the encoder is affine -> batch norm -> ReLU -> affine -> ReLU and the
+    decoder affine -> batch norm -> ReLU -> affine. Encoder and decoder
+    weights are shared across all pairs involving their view, while the
+    decoder's batch-norm running statistics are tracked per source route
+    (each encoder feeds the decoder a different distribution). Train mode
+    updates the running statistics in `bn_stats` (default `params.bn_states`).
+
+    The chain is one tape node with a hand-written backward that does the
+    arithmetic of the op-by-op composition, so values and gradients are the
+    same bits.
     """
     if source == target:
         raise PairError(f"cross_predict needs distinct views, got {source} -> {target}")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    z = as_tensor(z)
     stats = params.bn_states if bn_stats is None else bn_stats
-    code = _encode(z, source, params, mode, stats)
-    return _decode(code, target, params, mode, stats, source)
+    p = params
+    enc, dec = f"view{source}.", f"view{target}."
+    enc1 = (p[enc + "enc1.W"], p[enc + "enc1.b"], p[enc + "enc1_bn.gamma"],
+            p[enc + "enc1_bn.beta"])
+    enc2_w, enc2_b = p[enc + "enc2.W"], p[enc + "enc2.b"]
+    dec1 = (p[dec + "dec1.W"], p[dec + "dec1.b"], p[dec + "dec1_bn.gamma"],
+            p[dec + "dec1_bn.beta"])
+    dec2_w, dec2_b = p[dec + "dec2.W"], p[dec + "dec2.b"]
+    if z.cols != enc1[0].rows:
+        raise nm.ShapeError(
+            f"cross_predict: view {source} latents are {enc1[0].rows} wide, got {z.cols}")
+    h1, saved1 = _bn_relu(z.data, *enc1, stats[enc + "enc1_bn"], mode)
+    a2 = h1 @ enc2_w.data + enc2_b.data
+    code = np.maximum(a2, 0.0)
+    h3, saved3 = _bn_relu(code, *dec1, stats[f"{dec}dec1_bn@src{source}"], mode)
+
+    def backward_fn(out):
+        g = out.grad
+        nm.accumulate_grad(dec2_w, h3.T @ g)
+        nm.accumulate_grad(dec2_b, g.sum(axis=0, keepdims=True))
+        g = _bn_relu_backward(g @ dec2_w.data.T, code, *dec1, saved3, mode, True)
+        g = g * (a2 > 0)
+        nm.accumulate_grad(enc2_w, h1.T @ g)
+        nm.accumulate_grad(enc2_b, g.sum(axis=0, keepdims=True))
+        g = _bn_relu_backward(g @ enc2_w.data.T, z.data, *enc1, saved1, mode,
+                              z.requires_grad)
+        if g is not None:
+            nm.accumulate_grad(z, g)
+
+    return nm.custom_op(h3 @ dec2_w.data + dec2_b.data,
+                        (z, *enc1, enc2_w, enc2_b, *dec1, dec2_w, dec2_b), backward_fn)
 
 
 def complete_missing(zhats, mask, params: CLCLSAParams, mode: str = "eval",
@@ -398,7 +464,8 @@ class ForwardCache:
     Per-view fields hold rows for observed subjects only (masked cells are
     never read); `obs_idx[i]` maps those rows back to subject indices. The
     full-size fields are the completed latents, the fused representation, the
-    final class probabilities, and the completed-entry flags.
+    final class probabilities, and the completed-entry flags. `bn_states`
+    holds the batch-norm statistics `build_objective` staged for its step.
     """
 
     obs_idx: list
@@ -411,6 +478,7 @@ class ForwardCache:
     provenance: np.ndarray
     fused: Tensor
     yhat: Tensor
+    bn_states: Optional[dict] = None
 
 
 def forward_full(views, mask, params: CLCLSAParams, mode: str,
@@ -505,14 +573,15 @@ def _joint_subjects(mask, i, k):
 
 
 def loss_cross_omics(zhats, mask, params: CLCLSAParams, mode: str = "eval",
-                     reduction: str = "sum") -> Tensor:
+                     reduction: str = "sum", bn_stats=None) -> Tensor:
     """Squared cross-view translation error over ordered view pairs.
 
     For each ordered pair (i, k), i != k, sums ||h[i<-k](zhat_k) - zhat_i||^2
     over the subjects observed in both views. "sum" reduces over subjects as
     written; "mean" divides each pair's term by its subject count. Pairs with
     fewer than two jointly observed subjects are skipped (train-mode batch
-    norm needs two rows).
+    norm needs two rows). Train mode updates the running statistics in
+    `bn_stats` (default `params.bn_states`).
     """
     mask = np.asarray(mask, dtype=bool)
     zhats = [as_tensor(z) for z in zhats]
@@ -525,7 +594,7 @@ def loss_cross_omics(zhats, mask, params: CLCLSAParams, mode: str = "eval",
             joint = _joint_subjects(mask, i, k)
             if joint.size < 2:
                 continue
-            pred = cross_predict(gather_rows(zhats[k], joint), k, i, params, mode)
+            pred = cross_predict(gather_rows(zhats[k], joint), k, i, params, mode, bn_stats)
             target = gather_rows(zhats[i], joint)
             diff = sub(pred, target)
             term = sum_all(mul(diff, diff))
@@ -535,19 +604,42 @@ def loss_cross_omics(zhats, mask, params: CLCLSAParams, mode: str = "eval",
     return total if total is not None else constant(0.0)
 
 
+def _softmax_rows(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def joint_distribution(z_i, z_k) -> Tensor:
     """Joint distribution over latent coordinates of two paired views.
 
     Rows are first mapped through a row-softmax so each subject contributes a
     distribution over coordinates; the mean outer product is then renormalized
-    to sum to 1.
+    to sum to 1. One tape node whose forward and backward do the arithmetic of
+    `unit_sum(mean_outer(softmax_rows(z_i), softmax_rows(z_k)))`.
     """
     z_i, z_k = as_tensor(z_i), as_tensor(z_k)
     if z_i.rows != z_k.rows:
         raise nm.ShapeError(f"joint_distribution: row counts differ, {z_i.shape} vs {z_k.shape}")
-    if z_i.rows == 0:
+    n = z_i.rows
+    if n == 0:
         raise nm.BatchSizeError("joint_distribution: empty batch")
-    return unit_sum(mean_outer(softmax_rows(z_i), softmax_rows(z_k)))
+    a, b = _softmax_rows(z_i.data), _softmax_rows(z_k.data)
+    outer = (a.T @ b) / n
+    s = outer.sum()
+    p = outer / s
+
+    def backward_fn(out):
+        g = out.grad
+        g = (g - (g * p).sum()) / s
+        # z_k first: the op-by-op record reaches its softmax before z_i's
+        if z_k.requires_grad:
+            gb = (a @ g) / n
+            nm.accumulate_grad(z_k, b * (gb - (gb * b).sum(axis=1, keepdims=True)))
+        if z_i.requires_grad:
+            ga = (b @ g.T) / n
+            nm.accumulate_grad(z_i, a * (ga - (ga * a).sum(axis=1, keepdims=True)))
+
+    return nm.custom_op(p, (z_i, z_k), backward_fn)
 
 
 def _contrastive_value_and_parts(p_data: np.ndarray, alpha: float):
@@ -662,26 +754,31 @@ def build_objective(views, mask, labels, params: CLCLSAParams, weights: LossWeig
     whose weight is nonzero are computed; others are skipped entirely, so a
     zero weight is bitwise identical to removing the term's code path.
 
-    During training the completion path normalizes with the batch-norm
-    statistics as of entry; the train-mode updates from the reconstruction
-    passes take effect on the next call. Within one call the objective is
-    therefore a pure function of the parameters.
+    In train mode the batch-norm statistics are staged in a copy: the
+    completion path normalizes with them as of entry, the reconstruction
+    passes then update the copy, and the result is returned as
+    `cache.bn_states` while `params.bn_states` stays untouched. The
+    objective is therefore a pure function of the parameters and their
+    statistics; `train.train` commits the staged statistics only once the
+    step's loss and gradients are finite.
     """
     mask = np.asarray(mask, dtype=bool)
     labels = np.asarray(labels)
-    entry_stats = {name: st.copy() for name, st in params.bn_states.items()}
-    cache = forward_full(views, mask, params, mode, rngs,
-                         completion_bn_stats=entry_stats)
+    stats = params.bn_states
+    if mode == "train":
+        stats = {name: st.copy() for name, st in stats.items()}
+    cache = forward_full(views, mask, params, mode, rngs, completion_bn_stats=stats)
     l_clf = loss_classification(cache.yhat, labels, reduction)
     l_al = l_co = l_cl = None
     if "al" in active and weights.lambda_al > 0:
         l_al = loss_auxiliary(cache.matt, cache.yhat_view, cache.obs_idx, labels,
                               reduction, conf_targets)
     if "co" in active and weights.lambda_co > 0:
-        l_co = loss_cross_omics(cache.zhat_full, mask, params, mode, reduction)
+        l_co = loss_cross_omics(cache.zhat_full, mask, params, mode, reduction, stats)
     if "cl" in active and weights.lambda_cl > 0:
         l_cl = loss_contrastive(cache.zhat_full, mask, weights.alpha)
     total, breakdown = total_loss(l_clf, l_al, l_co, l_cl, weights)
+    cache.bn_states = stats
     return total, breakdown, cache
 
 

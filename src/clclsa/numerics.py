@@ -32,7 +32,6 @@ __all__ = [
     "parameter",
     "constant",
     "affine",
-    "matmul",
     "add",
     "sub",
     "mul",
@@ -217,8 +216,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a fresh array; adding +0.0 turns -0.0 into +0.0, as a zero start would
+        t.grad = g + 0.0
+    else:
+        t.grad += g
 
 
 def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
@@ -261,24 +262,14 @@ def affine(x, w, b) -> Tensor:
 
     def backward_fn(out):
         g = out.grad
-        _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
-        _accumulate(b, g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0, keepdims=True))
 
     return _node(out_data, (x, w, b), backward_fn)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} vs {b.shape}")
-
-    def backward_fn(out):
-        g = out.grad
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _node(a.data @ b.data, (a, b), backward_fn)
 
 
 def add(a, b) -> Tensor:
@@ -297,8 +288,10 @@ def sub(a, b) -> Tensor:
     _check_broadcast(a, b, "sub")
 
     def backward_fn(out):
-        _accumulate(a, _unbroadcast(out.grad, a.shape))
-        _accumulate(b, -_unbroadcast(out.grad, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(out.grad, a.shape))
+        if b.requires_grad:
+            _accumulate(b, -_unbroadcast(out.grad, b.shape))
 
     return _node(a.data - b.data, (a, b), backward_fn)
 
@@ -309,8 +302,10 @@ def mul(a, b) -> Tensor:
     _check_broadcast(a, b, "mul")
 
     def backward_fn(out):
-        _accumulate(a, _unbroadcast(out.grad * b.data, a.shape))
-        _accumulate(b, _unbroadcast(out.grad * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(out.grad * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(out.grad * a.data, b.shape))
 
     return _node(a.data * b.data, (a, b), backward_fn)
 
@@ -332,11 +327,10 @@ def neg(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    s = np.empty_like(x)
+    # exp of -|x| never overflows; negating only where x >= 0 keeps a NaN's sign bit
     pos = x >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.where(pos, -x, x))
+    s = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward_fn(out):
         _accumulate(a, out.grad * s * (1.0 - s))
@@ -634,8 +628,10 @@ def _topo_order(root: Tensor):
             continue
         seen.add(id(node))
         stack.append((node, True))
+        # leaves have no backward hook; skipping them leaves the interior order as is
         for p in reversed(node._parents):
-            stack.append((p, False))
+            if p._parents:
+                stack.append((p, False))
     return order
 
 
@@ -660,12 +656,14 @@ def zero_grads(params) -> None:
 def gradients(loss: Tensor, params) -> dict:
     """Gradients of a scalar loss for every named parameter.
 
-    Parameters the record never reaches get zero gradients.
+    The arrays are the parameters' own `.grad` arrays, not copies; the next
+    `gradients` call or `zero_grads` detaches them. Parameters the record
+    never reaches get zero gradients.
     """
     zero_grads(params)
     backward(loss)
     return {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for name, t in params.items()
     }
 
@@ -687,7 +685,8 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One Adam update with bias correction, in place on params' data."""
+    """One Adam update with bias correction, in place on params' data and on
+    the moment arrays in `state`."""
     if lr <= 0:
         raise HyperparameterError(f"learning rate must be positive, got {lr}")
     state.t += 1
@@ -700,14 +699,22 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
             raise ShapeError(f"adam_step: gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
         m = state.m.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
+            m = state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        # in place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        denom = v / c2
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step = m / c1
+        step *= lr
+        step /= denom
+        p.data -= step
 
 
 def init_params(shape, rng: RngStream, kind: str = "weight") -> np.ndarray:

@@ -107,8 +107,9 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
           params: Optional[CLCLSAParams] = None):
     """Train CLCLSA on a dataset; returns (params, [EpochLog]).
 
-    Aborts with TrainingAborted (carrying the pre-step parameters and the logs
-    so far) the first time a loss term or gradient is non-finite.
+    Aborts with TrainingAborted (carrying the pre-step parameters and
+    batch-norm statistics, and the logs so far) the first time a loss term or
+    gradient is non-finite.
     """
     if ds.n_subjects == 0:
         raise ValueError("training set is empty")
@@ -154,6 +155,8 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
             if not all(np.isfinite(g).all() for g in grads.values()):
                 raise TrainingAborted("gradient", epoch, params, logs)
             adam_step(tensors, grads, adam, lr)
+            # the step's batch-norm updates land only once its loss and gradients are finite
+            params.bn_states.update(cache.bn_states)
             batch_logs.append(astuple(breakdown) + tuple(md.latent_variances(cache)))
         # a mini-batch epoch logs the mean over its batches; one batch logs as is
         logged = batch_logs[0] if len(batch_logs) == 1 else np.mean(batch_logs, axis=0)

@@ -306,3 +306,20 @@ class TestGridManifest:
                     "--set", "grid.val_fraction=0.25"]) == 0
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["resolved_config"]["grid"]["val_fraction"] == 0.25
+
+
+class TestManifestEnvironment:
+    def test_every_manifest_records_the_environment(self, tmp_path, synth_dir, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "train"
+        assert run(["train", "--data", str(synth_dir), "--out", str(out), *TRAIN_ARGS]) == 0
+        for manifest_dir in (synth_dir, out):
+            env = json.loads((manifest_dir / "run_manifest.json").read_text())["environment"]
+            assert set(env) == {"python", "numpy", "blas", "thread_env"}
+            assert env["numpy"] == np.__version__
+            assert env["python"].count(".") == 2
+            assert set(env["blas"]) == {"name", "version"}
+            assert set(env["thread_env"]) == set(cli.THREAD_VARS) and len(cli.THREAD_VARS) == 6
+        assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["thread_env"]["MKL_NUM_THREADS"] is None

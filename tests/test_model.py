@@ -3,9 +3,12 @@
 import base64
 import json
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from clclsa import cli
 from clclsa import model as md
@@ -38,6 +41,41 @@ MASK_MIXED = np.array([
 def tiny_views(seed=7, n=5):
     rng = np.random.default_rng(seed)
     return [rng.normal(size=(n, 6)) for _ in range(3)]
+
+
+# Op-by-op tape compositions of the fused nodes: the references that
+# `cross_predict` and `joint_distribution` must match bit for bit.
+
+
+def tape_encode(z, view, params, mode, bn_stats):
+    p = params
+    h = nm.affine(z, p[f"view{view}.enc1.W"], p[f"view{view}.enc1.b"])
+    h = nm.batch_norm(h, p[f"view{view}.enc1_bn.gamma"], p[f"view{view}.enc1_bn.beta"],
+                      bn_stats[f"view{view}.enc1_bn"], mode)
+    h = nm.relu(h)
+    h = nm.affine(h, p[f"view{view}.enc2.W"], p[f"view{view}.enc2.b"])
+    return nm.relu(h)
+
+
+def tape_decode(code, view, params, mode, bn_stats, source):
+    p = params
+    h = nm.affine(code, p[f"view{view}.dec1.W"], p[f"view{view}.dec1.b"])
+    h = nm.batch_norm(h, p[f"view{view}.dec1_bn.gamma"], p[f"view{view}.dec1_bn.beta"],
+                      bn_stats[f"view{view}.dec1_bn@src{source}"], mode)
+    h = nm.relu(h)
+    return nm.affine(h, p[f"view{view}.dec2.W"], p[f"view{view}.dec2.b"])
+
+
+def tape_cross_predict(z, source, target, params, mode, bn_stats=None):
+    if source == target:
+        raise md.PairError(f"cross_predict needs distinct views, got {source} -> {target}")
+    stats = params.bn_states if bn_stats is None else bn_stats
+    return tape_decode(tape_encode(z, source, params, mode, stats), target, params, mode,
+                       stats, source)
+
+
+def tape_joint_distribution(z_i, z_k):
+    return nm.unit_sum(nm.mean_outer(nm.softmax_rows(z_i), nm.softmax_rows(z_k)))
 
 
 class TestModelConfig:
@@ -149,16 +187,99 @@ class TestCrossPredict:
     def test_shared_encoder_across_targets(self):
         params = tiny_params()
         z = nm.constant(np.random.default_rng(2).normal(size=(4, 4)))
-        code_a = md._encode(z, 1, params, "eval", params.bn_states)
-        code_b = md._encode(z, 1, params, "eval", params.bn_states)
+        code_a = tape_encode(z, 1, params, "eval", params.bn_states)
+        code_b = tape_encode(z, 1, params, "eval", params.bn_states)
         np.testing.assert_array_equal(code_a.data, code_b.data)
         # distinct targets reuse the same encoder output
         to0 = md.cross_predict(z, 1, 0, params, "eval")
         to2 = md.cross_predict(z, 1, 2, params, "eval")
-        d0 = md._decode(code_a, 0, params, "eval", params.bn_states, source=1)
-        d2 = md._decode(code_a, 2, params, "eval", params.bn_states, source=1)
+        d0 = tape_decode(code_a, 0, params, "eval", params.bn_states, source=1)
+        d2 = tape_decode(code_a, 2, params, "eval", params.bn_states, source=1)
         np.testing.assert_array_equal(to0.data, d0.data)
         np.testing.assert_array_equal(to2.data, d2.data)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def jittered(params, seed=11):
+    """Move every tensor off its initial value (zero biases sit on ReLU kinks)."""
+    jitter = nm.RngStream(seed, "jitter")
+    for name, t in params.tensors().items():
+        t.data = t.data + jitter.child(name).uniform(*t.data.shape, -0.1, 0.1)
+    return params
+
+
+def stirred_stats(params, seed=12):
+    """Running statistics away from their (0, 1) start, so eval mode reads them."""
+    rng = nm.RngStream(seed, "stats")
+    for name, state in params.bn_states.items():
+        dim = state.running_mean.shape[1]
+        state.running_mean = rng.child(name + "/mean").normal(1, dim)
+        state.running_var = rng.child(name + "/var").uniform(1, dim, 0.5, 2.0)
+    return params
+
+
+class TestFusedCrossPredict:
+    def _run(self, translate, mode, z_requires_grad=True):
+        params = stirred_stats(jittered(tiny_params()))
+        rng = np.random.default_rng(50)
+        z_data = rng.normal(size=(6, 4))
+        z = nm.parameter(z_data, "z") if z_requires_grad else nm.constant(z_data)
+        weights = nm.constant(rng.normal(size=(6, 4)))
+        # both translations read view 1's encoder, so its partials add across nodes
+        outs = [translate(z, 1, target, params, mode) for target in (0, 2)]
+        loss = nm.add(nm.sum_all(nm.mul(outs[0], weights)),
+                      nm.sum_all(nm.mul(outs[1], weights)))
+        named = dict(params.tensors(), z=z)
+        grads = nm.gradients(loss, named)
+        return outs, grads, params.bn_states
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_matches_tape_bitwise(self, mode):
+        fused_outs, fused_grads, fused_stats = self._run(md.cross_predict, mode)
+        tape_outs, tape_grads, tape_stats = self._run(tape_cross_predict, mode)
+        for a, b in zip(fused_outs, tape_outs):
+            assert same_bits(a.data, b.data)
+        for name in tape_grads:
+            assert same_bits(fused_grads[name], tape_grads[name]), name
+        assert np.abs(fused_grads["z"]).sum() > 0
+        for name, state in tape_stats.items():
+            assert same_bits(fused_stats[name].running_mean, state.running_mean), name
+            assert same_bits(fused_stats[name].running_var, state.running_var), name
+
+    def test_train_mode_updates_only_its_routes(self):
+        _, _, stats = self._run(md.cross_predict, "train")
+        untouched = stirred_stats(tiny_params()).bn_states
+        moved = {name for name, state in stats.items()
+                 if not same_bits(state.running_mean, untouched[name].running_mean)}
+        assert moved == {"view1.enc1_bn", "view0.dec1_bn@src1", "view2.dec1_bn@src1"}
+
+    def test_constant_input_partial_is_not_computed(self, accumulated):
+        _, grads, _ = self._run(md.cross_predict, "train", z_requires_grad=False)
+        assert accumulated and all(t.requires_grad for t in accumulated)
+        np.testing.assert_array_equal(grads["z"], np.zeros((6, 4)))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_gradients_match_finite_differences(self, mode):
+        params = stirred_stats(jittered(tiny_params()))
+        rng = np.random.default_rng(52)
+        z = nm.parameter(rng.normal(size=(5, 4)), "z")
+        weights = nm.constant(rng.normal(size=(5, 4)))
+        named = {name: t for name, t in params.tensors().items()
+                 if name.startswith(("view0.enc", "view2.dec"))}
+        named["z"] = z
+
+        def build():
+            # fresh statistics each call: train mode must not feed its updates back
+            stats = {name: state.copy() for name, state in params.bn_states.items()}
+            return nm.sum_all(nm.mul(md.cross_predict(z, 0, 2, params, mode, stats), weights))
+
+        analytic = nm.gradients(build(), named)
+        fd = finite_difference(build, named)
+        assert max_rel_error(analytic, fd) < 1e-4
 
 
 class TestCompleteMissing:
@@ -325,6 +446,91 @@ class TestJointDistribution:
     def test_empty_batch_rejected(self):
         with pytest.raises(nm.BatchSizeError):
             md.joint_distribution(nm.constant(np.zeros((0, 3))), nm.constant(np.zeros((0, 3))))
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_matches_tape_bitwise(self, shared):
+        results = []
+        for joint in (md.joint_distribution, tape_joint_distribution):
+            rng = np.random.default_rng(53)
+            a = nm.parameter(rng.normal(size=(7, 5)), "a")
+            b = a if shared else nm.parameter(rng.normal(size=(7, 5)), "b")
+            p = joint(a, b)
+            grads = nm.gradients(md.loss_contrastive_pair(p, 9.0), {"a": a, "b": b})
+            results.append((p.data, grads["a"], grads["b"]))
+        for fused, tape in zip(*results):
+            assert same_bits(fused, tape)
+
+    def test_constant_input_partial_is_not_computed(self, accumulated):
+        rng = np.random.default_rng(54)
+        a = nm.parameter(rng.normal(size=(6, 3)), "a")
+        c = nm.constant(rng.normal(size=(6, 4)))
+        for p in (md.joint_distribution(a, c), md.joint_distribution(c, a)):
+            nm.gradients(md.loss_contrastive_pair(p, 9.0), {"a": a})
+        assert any(t is a for t in accumulated)
+        assert all(t.requires_grad for t in accumulated)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(55)
+        zs = {"a": nm.parameter(rng.normal(size=(5, 4)), "a"),
+              "b": nm.parameter(rng.normal(size=(5, 3)), "b")}
+        weights = nm.constant(rng.normal(size=(4, 3)))
+
+        def build():
+            return nm.sum_all(nm.mul(md.joint_distribution(zs["a"], zs["b"]), weights))
+
+        analytic = nm.gradients(build(), zs)
+        fd = finite_difference(build, zs)
+        assert max_rel_error(analytic, fd) < 1e-4
+
+
+@st.composite
+def small_problems(draw):
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 7))
+    config = md.ModelConfig(
+        m, tuple(draw(st.integers(1, 5)) for _ in range(m)), (draw(st.integers(1, 4)),) * m,
+        draw(st.integers(2, 3)),
+        ae_hidden=(draw(st.integers(1, 4)), draw(st.integers(1, 4))),
+        dropout_p=draw(st.sampled_from([0.0, 0.3])))
+    # each subject observes a nonempty set of views, given as a bit pattern
+    patterns = draw(st.lists(st.integers(1, 2 ** m - 1), min_size=n, max_size=n))
+    mask = np.array([[(bits >> i) & 1 for i in range(m)] for bits in patterns], dtype=bool)
+    assume(mask.any(axis=0).all())
+    return config, mask, draw(st.integers(0, 2 ** 16))
+
+
+def objective_bits(config, mask, seed, tape):
+    """Total, breakdown, staged statistics and every gradient of a train-mode step."""
+    rng = np.random.default_rng(seed)
+    views = [rng.normal(size=(mask.shape[0], d)) for d in config.input_dims]
+    labels = rng.integers(0, config.num_classes, size=mask.shape[0])
+    params = jittered(md.CLCLSAParams.init_random(config, seed))
+    rngs = [nm.RngStream(seed, f"dropout/view{i}") for i in range(config.num_views)]
+    fused = md.cross_predict, md.joint_distribution
+    if tape:
+        md.cross_predict, md.joint_distribution = tape_cross_predict, tape_joint_distribution
+    try:
+        total, breakdown, cache = md.build_objective(
+            views, mask, labels, params, md.LossWeights(0.1, 1.0, 0.01, 9.0), mode="train",
+            rngs=rngs)
+        grads = nm.gradients(total, params.tensors())
+    finally:
+        md.cross_predict, md.joint_distribution = fused
+    stats = [a for state in cache.bn_states.values()
+             for a in (state.running_mean, state.running_var)]
+    return [np.array(astuple(breakdown)), cache.yhat.data, *stats, *grads.values()]
+
+
+class TestFusedNodesProperty:
+    @given(small_problems())
+    def test_objective_matches_tape_bitwise(self, problem):
+        """Any shapes and any mask: same loss terms, statistics and gradients."""
+        config, mask, seed = problem
+        fused = objective_bits(config, mask, seed, tape=False)
+        tape = objective_bits(config, mask, seed, tape=True)
+        assert len(fused) == len(tape)
+        for a, b in zip(fused, tape):
+            assert same_bits(a, b)
 
 
 def _pair_loss_oracle(p, alpha):
@@ -536,7 +742,7 @@ class TestLossAuxiliary:
         w = nm.parameter(rng.normal(size=(3, 2)), "w")
         z = nm.constant(rng.normal(size=(4, 3)))
         matt = nm.constant(rng.uniform(0.2, 0.8, size=(4, 1)))
-        yhat = nm.softmax_rows(nm.matmul(z, w))
+        yhat = nm.softmax_rows(nm.affine(z, w, nm.constant(np.zeros((1, 2)))))
         # squared term alone: (matt - max yhat)^2 with a detached target
         conf = nm.constant(yhat.data.max(axis=1, keepdims=True))
         diff = nm.sub(matt, conf)

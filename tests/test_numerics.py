@@ -78,6 +78,21 @@ class TestActivations:
         total = nm.sigmoid(nm.constant(x)).data + nm.sigmoid(nm.constant(-x)).data
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
+    def test_sigmoid_bits_match_masked_formula(self):
+        """The np.where form computes, bit for bit, the two masked passes it replaced."""
+        x = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                       800.0, -800.0, 1.5, -1.5, 36.7, -36.7, 1e-300, -1e-300]])
+        payload = np.array([0x7FF8_0000_0000_0BAD, 0xFFF0_0000_0000_0001], dtype=np.uint64)
+        x = np.concatenate([x, payload.view(np.float64).reshape(1, -1)], axis=1)
+        expected = np.empty_like(x)
+        pos = x >= 0
+        with np.errstate(all="ignore"):
+            expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            expected[~pos] = ex / (1.0 + ex)
+            got = nm.sigmoid(nm.constant(x)).data
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
     def test_relu_definition(self):
         np.testing.assert_array_equal(nm.relu(nm.constant([[-1.0, 0.0, 2.0]])).data,
                                       [[0.0, 0.0, 2.0]])
@@ -199,6 +214,50 @@ class TestBackward:
         np.testing.assert_allclose(grads["x"], [[8.0]])
 
 
+class TestComputeOnlyWhatIsConsumed:
+    CONSTANT_OPERAND = {
+        "affine_x": lambda c, w: nm.affine(c, w, nm.constant(np.zeros((1, 3)))),
+        "affine_w": lambda c, w: nm.affine(w, c, nm.constant(np.zeros((1, 3)))),
+        "mul_a": lambda c, w: nm.mul(c, w),
+        "mul_b": lambda c, w: nm.mul(w, c),
+        "sub_a": lambda c, w: nm.sub(c, w),
+        "sub_b": lambda c, w: nm.sub(w, c),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CONSTANT_OPERAND))
+    def test_constant_operand_partial_is_not_computed(self, accumulated, case):
+        rng = np.random.default_rng(15)
+        c = nm.constant(rng.normal(size=(3, 3)), "c")
+        w = nm.parameter(rng.normal(size=(3, 3)), "w")
+        grads = nm.gradients(nm.sum_all(self.CONSTANT_OPERAND[case](c, w)), {"w": w})
+        assert any(t is w for t in accumulated)
+        assert all(t.requires_grad for t in accumulated), "a partial was computed for a constant"
+        assert np.abs(grads["w"]).sum() > 0
+
+    def test_first_negative_zero_contribution_is_stored_as_positive_zero(self):
+        x = nm.parameter([[1.0, 2.0]], "x")
+        loss = nm.sum_all(nm.mul(x, nm.constant([[-0.0, 3.0]])))
+        grads = nm.gradients(loss, {"x": x})
+        assert grads["x"][0, 0] == 0.0 and not np.signbit(grads["x"][0, 0])
+        assert grads["x"][0, 1] == 3.0
+
+    def test_first_contribution_is_copied_and_later_ones_add(self):
+        t = nm.parameter(np.zeros((1, 2)), "t")
+        g = np.array([[-0.0, 1.5]])
+        nm.accumulate_grad(t, g)
+        assert t.grad is not g
+        g[0, 1] = 99.0
+        nm.accumulate_grad(t, np.array([[2.0, 0.25]]))
+        assert t.grad.tolist() == [[2.0, 1.75]]
+
+    def test_gradients_hands_over_the_grad_arrays(self):
+        w = nm.parameter(np.ones((2, 2)), "w")
+        unused = nm.parameter(np.ones((1, 2)), "unused")
+        grads = nm.gradients(nm.sum_all(nm.mul(w, w)), {"w": w, "unused": unused})
+        assert grads["w"] is w.grad
+        np.testing.assert_array_equal(grads["unused"], np.zeros((1, 2)))
+
+
 class TestGatherRows:
     def test_duplicate_indices_rejected(self):
         a = nm.parameter(np.ones((4, 2)), "a")
@@ -306,6 +365,21 @@ class TestAdam:
             nm.adam_step({"p": p}, {"p": 2.0 * p.data}, st, lr=0.1)
             values.append(p.data[0, 0])
         assert values[0] > values[1] > values[2]
+
+    def test_in_place_update_is_bitwise_the_formula(self):
+        rng = np.random.default_rng(16)
+        p = nm.parameter(rng.normal(size=(3, 4)), "p")
+        st = nm.AdamState()
+        ref_p, ref_m, ref_v = p.data.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        for t in range(1, 6):
+            g = rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-8, 3)
+            nm.adam_step({"p": p}, {"p": g}, st, lr=0.01)
+            ref_m = st.beta1 * ref_m + (1.0 - st.beta1) * g
+            ref_v = st.beta2 * ref_v + (1.0 - st.beta2) * (g * g)
+            c1, c2 = 1.0 - st.beta1 ** t, 1.0 - st.beta2 ** t
+            ref_p -= 0.01 * (ref_m / c1) / (np.sqrt(ref_v / c2) + st.eps)
+            for got, want in ((p.data, ref_p), (st.m["p"], ref_m), (st.v["p"], ref_v)):
+                assert got.tobytes() == want.tobytes()
 
     def test_invalid_lr(self):
         with pytest.raises(nm.HyperparameterError):

@@ -178,6 +178,25 @@ class TestTrain:
         for t in exc.params.tensors().values():
             assert np.isfinite(t.data).all()
 
+    def test_aborted_step_leaves_batch_norm_statistics_as_before_it(self):
+        ds = tiny_dataset(n=30, eta=0.4)
+        cfg = quick_config(epochs=2, initial_lr=1e200,
+                           weights=md.LossWeights(0.01, 0.1, 0.01, 9.0))
+        with pytest.raises(tr.TrainingAborted) as info, np.errstate(all="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tr.train(ds, TINY_MODEL, cfg)
+        exc = info.value
+        assert exc.epoch == 1
+        before, _ = tr.train(ds, TINY_MODEL, replace(cfg, epochs=1))
+        assert exc.params.bn_states.keys() == before.bn_states.keys()
+        for name, st in exc.params.bn_states.items():
+            want = before.bn_states[name]
+            for got, expected in ((st.running_mean, want.running_mean),
+                                  (st.running_var, want.running_var)):
+                assert np.isfinite(got).all(), name
+                assert got.tobytes() == expected.tobytes(), name
+
 
 class TestAblationEquivalence:
     def test_zero_weight_equals_disabled_code_path(self):
