@@ -247,6 +247,7 @@ def _assignment(convert):
 
 
 def _cmd_synth(args, config):
+    started = time.time()
     section = _section(config, "synth")
     for flag, key in (("n", "n_subjects"), ("views", "n_views"), ("classes", "class_count"),
                       ("snr", "snr"), ("sep", "class_sep"), ("shared_dim", "shared_dim"),
@@ -260,7 +261,6 @@ def _cmd_synth(args, config):
     spec = _build(dt.SyntheticSpec, section, "synth")
     ds = dt.synth_generate(spec)
     out = _out_dir(args)
-    started = time.time()
     manifest = dt.write_dataset(ds, out, manifest_extra={"synth_spec": asdict(spec)})
     artifacts = [os.path.join(out, f) for f in manifest["files"]["views"]]
     artifacts.append(os.path.join(out, manifest["files"]["labels"]))
@@ -306,22 +306,24 @@ def _cmd_train(args, config):
     started = time.time()
     ds, model_config, train_config, resolved = _setup(args, config)
     out = _out_dir(args)
-    with open(os.path.join(out, "config.json"), "w") as fh:
+    checkpoint, epochs, config_path = (os.path.join(out, name) for name in
+                                       ("checkpoint.json", "epochs.csv", "config.json"))
+    with open(config_path, "w") as fh:
         json.dump(resolved, fh, indent=2)
+    aborted = extra = None
     try:
         params, logs = tr.train(ds, model_config, train_config)
     except tr.TrainingAborted as exc:
-        md.save_checkpoint(os.path.join(out, "checkpoint.json"), exc.params,
-                           extra={"aborted": True, "term": exc.term, "epoch": exc.epoch})
-        _epoch_log_csv(os.path.join(out, "epochs.csv"), exc.logs)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    checkpoint = os.path.join(out, "checkpoint.json")
-    md.save_checkpoint(checkpoint, params)
-    _epoch_log_csv(os.path.join(out, "epochs.csv"), logs)
-    artifacts = [checkpoint, os.path.join(out, "epochs.csv"), os.path.join(out, "config.json")]
+        # an aborted run still writes its last good state, its logs and a manifest
+        aborted, params, logs = exc, exc.params, exc.logs
+        extra = {"aborted": True, "term": exc.term, "epoch": exc.epoch}
+    md.save_checkpoint(checkpoint, params, extra)
+    _epoch_log_csv(epochs, logs)
     _write_manifest(out, "train", resolved, [train_config.seed],
-                    _dataset_inputs(args.data), artifacts, started)
+                    _dataset_inputs(args.data), [checkpoint, epochs, config_path], started)
+    if aborted is not None:
+        print(f"error: {aborted}", file=sys.stderr)
+        return 2
     print(f"trained {train_config.epochs} epochs; final loss "
           f"{logs[-1].breakdown.total!r}; checkpoint at {checkpoint}")
     return 0

@@ -107,20 +107,19 @@ def auc_binary(scores, true) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def multiclass_f1(pred, true, mode: str = "macro") -> float:
-    """Per-class one-vs-rest F1, averaged unweighted (macro) or by support.
+def multiclass_f1(pred, true, class_count: int, mode: str = "macro") -> float:
+    """Per-class one-vs-rest F1 over classes 0..class_count-1, averaged
+    unweighted (macro) or by support.
 
     Classes absent from both vectors count as F1 = 0 in macro mode and carry
-    zero weight in weighted mode.
+    zero weight in weighted mode, so the score does not depend on which
+    classes a prediction happens to contain.
     """
     if mode not in ("macro", "weighted"):
         raise ValueError("mode must be 'macro' or 'weighted'")
     pred, true = _as_labels(pred), _as_labels(true)
     if pred.shape != true.shape or pred.size == 0:
         raise ValueError("label vectors must share a nonzero length")
-    class_count = int(max(pred.max(), true.max())) + 1
-    if class_count < 2:
-        class_count = 2
     f1s = np.zeros(class_count)
     supports = np.zeros(class_count)
     for c in range(class_count):
@@ -166,8 +165,8 @@ def compute_report(yhat, true, class_count: int, metadata=None) -> MetricsReport
         auc = auc_binary(yhat[:, 1], true)
     return MetricsReport(
         acc=accuracy(pred, true),
-        weighted_f1=multiclass_f1(pred, true, "weighted"),
-        macro_f1=multiclass_f1(pred, true, "macro"),
+        weighted_f1=multiclass_f1(pred, true, class_count, "weighted"),
+        macro_f1=multiclass_f1(pred, true, class_count, "macro"),
         f1=f1,
         auc=auc,
         confusion=conf.tolist(),
@@ -209,16 +208,15 @@ class TrialRow:
 
 def run_trial(ds: MultiOmicsDataset, model_config: ModelConfig,
               train_config: tr.TrainConfig, eta: float, seed: int,
-              mask_test: bool = True, split_spec: Optional[SplitSpec] = None,
-              dataset_name: str = "dataset", variant: str = "clclsa") -> TrialRow:
+              mask_test: bool = True, dataset_name: str = "dataset",
+              variant: str = "clclsa") -> TrialRow:
     """Split, mask at eta, train, and evaluate one configuration.
 
     The train and test sides are masked with independent seeded streams (the
     incomplete-test scenario is the default; pass mask_test=False to evaluate
     on complete test data).
     """
-    base_split = split_spec or SplitSpec(seed=derive_seed(seed, "split"))
-    train_ds, test_ds = split(ds, base_split)
+    train_ds, test_ds = split(ds, SplitSpec(seed=derive_seed(seed, "split")))
     if eta > 0:
         train_ds = apply_missingness(
             train_ds, MissingnessSpec(eta=eta, seed=derive_seed(seed, "mask-train")))
@@ -255,9 +253,6 @@ class SweepPoint:
 class SweepResult:
     points: list
     rows: list
-
-    def etas(self):
-        return [p.eta for p in self.points]
 
 
 def _aggregate(reports) -> tuple:

@@ -128,10 +128,6 @@ class ModelConfig:
             raise ValueError("completion must be 'cross' or 'zero'")
 
     @property
-    def embed_dim(self) -> int:
-        return self.embed_dims[0]
-
-    @property
     def fused_dim(self) -> int:
         return sum(self.embed_dims)
 
@@ -252,13 +248,6 @@ class CLCLSAParams:
         )
         bn_states = {name: st.copy() for name, st in self.bn_states.items()}
         return CLCLSAParams(self.config, tensors, bn_states)
-
-    def set_values(self, values: dict) -> None:
-        for name, arr in values.items():
-            t = self._tensors[name]
-            if t.data.shape != arr.shape:
-                raise nm.ShapeError(f"value shape {arr.shape} != {t.data.shape} for {name!r}")
-            t.data = np.array(arr, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +397,7 @@ def cross_predict(z, source: int, target: int, params: CLCLSAParams, mode: str,
                         (z, *enc1, enc2_w, enc2_b, *dec1, dec2_w, dec2_b), backward_fn)
 
 
-def complete_missing(zhats, mask, params: CLCLSAParams, mode: str = "eval",
-                     bn_stats=None):
+def complete_missing(zhats, mask, params: CLCLSAParams):
     """Fill missing per-view latents from the observed views.
 
     `zhats` holds one tensor per view with a row for each subject observed in
@@ -418,6 +406,10 @@ def complete_missing(zhats, mask, params: CLCLSAParams, mode: str = "eval",
     of that subject; observed rows pass through unchanged. Returns (list of
     N x D completed latents, provenance) where provenance[j, i] is True iff
     subject j's view i was completed.
+
+    The translators always run in eval mode here, in training too: they
+    normalize with the running statistics in `params.bn_states` and update
+    none of them.
 
     With the "zero" completion policy the missing rows are left at zero, the
     trivial-fill reference used by property checks.
@@ -448,7 +440,7 @@ def complete_missing(zhats, mask, params: CLCLSAParams, mode: str = "eval",
             sel = miss_rows[mask[miss_rows, k]]
             if sel.size == 0:
                 continue
-            pred = cross_predict(gather_rows(full[k], sel), k, i, params, mode, bn_stats)
+            pred = cross_predict(gather_rows(full[k], sel), k, i, params, "eval")
             acc = nm.add(acc, scatter_rows(pred, sel, n))
         # observed rows keep weight 1; missing rows average their sources
         inv = np.ones((n, 1))
@@ -481,8 +473,7 @@ class ForwardCache:
     bn_states: Optional[dict] = None
 
 
-def forward_full(views, mask, params: CLCLSAParams, mode: str,
-                 rngs=None, completion_bn_stats=None) -> ForwardCache:
+def forward_full(views, mask, params: CLCLSAParams, mode: str, rngs=None) -> ForwardCache:
     """Run every view, complete missing latents, fuse, and classify."""
     mask = np.asarray(mask, dtype=bool)
     m = mask.shape[1]
@@ -497,10 +488,7 @@ def forward_full(views, mask, params: CLCLSAParams, mode: str,
         x = constant(np.asarray(views[i], dtype=np.float64)[obs])
         rng = rngs[i] if rngs is not None else None
         per_view.append(forward_view(x, params, i, mode, rng))
-    completion_mode = "eval"
-    stats = completion_bn_stats if mode == "train" else None
-    zhat_full, provenance = complete_missing([vf.zhat for vf in per_view], mask, params,
-                                             completion_mode, stats)
+    zhat_full, provenance = complete_missing([vf.zhat for vf in per_view], mask, params)
     fused = fuse(zhat_full)
     yhat = softmax_rows(affine(fused, params["classifier.W"], params["classifier.b"]))
     return ForwardCache(
@@ -642,27 +630,6 @@ def joint_distribution(z_i, z_k) -> Tensor:
     return nm.custom_op(p, (z_i, z_k), backward_fn)
 
 
-def _contrastive_value_and_parts(p_data: np.ndarray, alpha: float):
-    """Forward value plus the pieces the backward pass reuses.
-
-    Transposing P gives the same value up to rounding. `loss_contrastive`
-    evaluates each unordered view pair once with weight 2, which equals the
-    sum over both orders.
-    """
-    pc = np.maximum(p_data, LOG_FLOOR)
-    row = p_data.sum(axis=1)
-    col = p_data.sum(axis=0)
-    rowc = np.maximum(row, LOG_FLOOR)
-    colc = np.maximum(col, LOG_FLOOR)
-    log_p = np.log(pc)
-    log_row = np.log(rowc)
-    log_col = np.log(colc)
-    marg = log_row[:, None] + log_col[None, :]
-    t = p_data * log_p - (alpha + 1.0) * (p_data * marg)
-    value = -np.sum(t)
-    return value, (pc, row, col, rowc, colc, log_p, log_row, log_col)
-
-
 def loss_contrastive_pair(p, alpha: float) -> Tensor:
     """-sum_{dd'} P log(P / (P_d^(a+1) P_d'^(a+1))) with clamped logs.
 
@@ -678,9 +645,17 @@ def loss_contrastive_pair(p, alpha: float) -> Tensor:
     total = p.data.sum()
     if abs(total - 1.0) > 1e-9:
         raise DistributionError(f"joint distribution sums to {total!r}, not 1")
-    value, parts = _contrastive_value_and_parts(p.data, float(alpha))
-    pc, row, col, rowc, colc, log_p, log_row, log_col = parts
     a1 = float(alpha) + 1.0
+    pc = np.maximum(p.data, LOG_FLOOR)
+    row = p.data.sum(axis=1)
+    col = p.data.sum(axis=0)
+    rowc = np.maximum(row, LOG_FLOOR)
+    colc = np.maximum(col, LOG_FLOOR)
+    log_p = np.log(pc)
+    log_row = np.log(rowc)
+    log_col = np.log(colc)
+    t = p.data * log_p - a1 * (p.data * (log_row[:, None] + log_col[None, :]))
+    value = -np.sum(t)
 
     def backward_fn(out):
         if not p.requires_grad:
@@ -747,16 +722,15 @@ def total_loss(l_clf, l_al, l_co, l_cl, weights: LossWeights):
 
 def build_objective(views, mask, labels, params: CLCLSAParams, weights: LossWeights,
                     mode: str = "train", rngs=None, reduction: str = "mean",
-                    active=("al", "co", "cl"), conf_targets=None):
+                    conf_targets=None):
     """Assemble the full training objective.
 
-    Returns (total node, LossBreakdown, ForwardCache). Terms named in `active`
-    whose weight is nonzero are computed; others are skipped entirely, so a
-    zero weight is bitwise identical to removing the term's code path.
+    Returns (total node, LossBreakdown, ForwardCache). A term whose weight is
+    zero is skipped entirely: its loss function is never called and it adds
+    no graph edge.
 
-    In train mode the batch-norm statistics are staged in a copy: the
-    completion path normalizes with them as of entry, the reconstruction
-    passes then update the copy, and the result is returned as
+    Completion reads the running statistics in `params.bn_states`. In train
+    mode the reconstruction passes update a copy of them, returned as
     `cache.bn_states` while `params.bn_states` stays untouched. The
     objective is therefore a pure function of the parameters and their
     statistics; `train.train` commits the staged statistics only once the
@@ -767,15 +741,15 @@ def build_objective(views, mask, labels, params: CLCLSAParams, weights: LossWeig
     stats = params.bn_states
     if mode == "train":
         stats = {name: st.copy() for name, st in stats.items()}
-    cache = forward_full(views, mask, params, mode, rngs, completion_bn_stats=stats)
+    cache = forward_full(views, mask, params, mode, rngs)
     l_clf = loss_classification(cache.yhat, labels, reduction)
     l_al = l_co = l_cl = None
-    if "al" in active and weights.lambda_al > 0:
+    if weights.lambda_al > 0:
         l_al = loss_auxiliary(cache.matt, cache.yhat_view, cache.obs_idx, labels,
                               reduction, conf_targets)
-    if "co" in active and weights.lambda_co > 0:
+    if weights.lambda_co > 0:
         l_co = loss_cross_omics(cache.zhat_full, mask, params, mode, reduction, stats)
-    if "cl" in active and weights.lambda_cl > 0:
+    if weights.lambda_cl > 0:
         l_cl = loss_contrastive(cache.zhat_full, mask, weights.alpha)
     total, breakdown = total_loss(l_clf, l_al, l_co, l_cl, weights)
     cache.bn_states = stats

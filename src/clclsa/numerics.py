@@ -8,6 +8,11 @@ the model needs: affine maps, sigmoid/ReLU/row-softmax, inverted dropout,
 batch normalization with running statistics, a handful of structural ops
 (concat, gather/scatter of rows, per-row picks), and reductions.
 
+`batch_norm`, `mean_outer` and `unit_sum` are no longer on the training
+path: the model's fused `cross_predict` and `joint_distribution` nodes do
+their arithmetic in one node each, and the tests compose these ops into the
+reference that the fused nodes must match bit for bit.
+
 Randomness goes through `RngStream`: a (seed, label) pair fully determines the
 value sequence across runs and platforms (PCG64 seeded from the label's
 SHA-256), so initialization, dropout masks, and simulation draws can be

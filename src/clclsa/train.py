@@ -21,8 +21,6 @@ from .data import MultiOmicsDataset, SplitSpec, split
 from .model import CLCLSAParams, LossBreakdown, LossWeights, ModelConfig
 from .numerics import AdamState, RngStream, adam_step, gradients
 
-TERM_NAMES = ("al", "co", "cl")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -30,8 +28,7 @@ class TrainConfig:
 
     2500 epochs, Adam at 1e-4 with step decay, full-batch. `reduction` picks
     per-subject means ("mean", default) or the as-printed sums ("sum") inside
-    the loss terms. `disabled_terms` removes a term's code path entirely,
-    which is bitwise equivalent to setting its weight to zero.
+    the loss terms. A loss term is turned off by setting its weight to zero.
     """
 
     epochs: int = 2500
@@ -44,22 +41,22 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     reduction: str = "mean"
     eval_every: int = 0
-    disabled_terms: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "disabled_terms", tuple(self.disabled_terms))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.initial_lr <= 0:
             raise nm.HyperparameterError("initial_lr must be positive")
         if self.lr_schedule not in ("step", "constant"):
             raise ValueError("lr_schedule must be 'step' or 'constant'")
+        if self.lr_decay_every < 1:
+            raise ValueError("lr_decay_every must be >= 1")
+        if self.lr_decay_factor <= 0:
+            raise ValueError("lr_decay_factor must be positive")
         if self.reduction not in ("mean", "sum"):
             raise ValueError("reduction must be 'mean' or 'sum'")
         if self.batch_size is not None and self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm needs 2 rows)")
-        if any(t not in TERM_NAMES for t in self.disabled_terms):
-            raise ValueError(f"disabled_terms must be among {TERM_NAMES}")
 
 
 @dataclass
@@ -92,10 +89,6 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.initial_lr * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
 
 
-def _active_terms(cfg: TrainConfig):
-    return tuple(t for t in TERM_NAMES if t not in cfg.disabled_terms)
-
-
 def _effective_weights(ds: MultiOmicsDataset, weights: LossWeights) -> LossWeights:
     # with complete data there is nothing to translate; the cross-view term is off
     if ds.is_complete() and weights.lambda_co != 0.0:
@@ -103,8 +96,7 @@ def _effective_weights(ds: MultiOmicsDataset, weights: LossWeights) -> LossWeigh
     return weights
 
 
-def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainConfig,
-          params: Optional[CLCLSAParams] = None):
+def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainConfig):
     """Train CLCLSA on a dataset; returns (params, [EpochLog]).
 
     Aborts with TrainingAborted (carrying the pre-step parameters and
@@ -117,9 +109,7 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
         raise nm.ShapeError(
             f"dataset has {ds.n_views} views, model expects {model_config.num_views}")
     weights = _effective_weights(ds, train_config.weights)
-    active = _active_terms(train_config)
-    if params is None:
-        params = CLCLSAParams.init_random(model_config, train_config.seed)
+    params = CLCLSAParams.init_random(model_config, train_config.seed)
     tensors = params.tensors()
     adam = AdamState()
     rngs = [RngStream(train_config.seed, f"dropout/view{i}")
@@ -147,8 +137,7 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
             try:
                 total, breakdown, cache = md.build_objective(
                     views_b, mask_b, labels_b, params, weights,
-                    mode="train", rngs=rngs, reduction=train_config.reduction,
-                    active=active)
+                    mode="train", rngs=rngs, reduction=train_config.reduction)
             except md.NumericError as exc:
                 raise TrainingAborted(exc.term, epoch, params, logs) from exc
             grads = gradients(total, tensors)
@@ -175,6 +164,8 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
 # ---------------------------------------------------------------------------
 # Grid search
 
+SELECTION_METRICS = ("acc", "macro_f1", "weighted_f1")
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -189,6 +180,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.lambda_al_values and self.lambda_co_values and self.lambda_cl_values):
             raise ValueError("candidate sets must be nonempty")
+        if self.metric not in SELECTION_METRICS:
+            raise ValueError(f"metric must be one of {SELECTION_METRICS}, got {self.metric!r}")
 
 
 @dataclass
@@ -254,8 +247,5 @@ def _selection_metric(name: str, pred, ds: MultiOmicsDataset) -> float:
 
     if name == "acc":
         return ev.accuracy(pred, ds.labels)
-    if name == "macro_f1":
-        return ev.multiclass_f1(pred, ds.labels, mode="macro")
-    if name == "weighted_f1":
-        return ev.multiclass_f1(pred, ds.labels, mode="weighted")
-    raise ValueError(f"unknown selection metric {name!r}")
+    mode = "macro" if name == "macro_f1" else "weighted"
+    return ev.multiclass_f1(pred, ds.labels, ds.class_count, mode)

@@ -21,6 +21,7 @@ from clclsa import model as md
 from clclsa import numerics as nm
 from clclsa import train as tr
 from tests.test_numerics import finite_difference, max_rel_error
+from tests.test_train import raising_stub
 
 FAMILY = dt.SyntheticSpec(n_subjects=400, n_views=3, view_dims=(20, 20, 20),
                           class_count=3, shared_dim=36, snr=5.0, class_sep=0.7,
@@ -180,14 +181,17 @@ class TestCriterion4AblationWiring:
                                      + 0.1 * e.breakdown.l_co + 0.01 * e.breakdown.l_cl)) < 1e-12
             for e in logs)
         bitwise_ok = True
-        for term, zeroed, disabled in (
-            ("al", md.LossWeights(0.0, 0.1, 0.01, 9.0), md.LossWeights(0.9, 0.1, 0.01, 9.0)),
-            ("co", md.LossWeights(0.1, 0.0, 0.01, 9.0), md.LossWeights(0.1, 0.9, 0.01, 9.0)),
-            ("cl", md.LossWeights(0.1, 0.1, 0.0, 9.0), md.LossWeights(0.1, 0.1, 0.9, 9.0)),
+        # the removed code path: the term's loss function raises if it is called
+        for loss_fn, zeroed in (
+            ("loss_auxiliary", md.LossWeights(0.0, 0.1, 0.01, 9.0)),
+            ("loss_cross_omics", md.LossWeights(0.1, 0.0, 0.01, 9.0)),
+            ("loss_contrastive", md.LossWeights(0.1, 0.1, 0.0, 9.0)),
         ):
-            p_zero, _ = tr.train(ds, tiny_model, replace(base, weights=zeroed))
-            p_off, _ = tr.train(ds, tiny_model,
-                                replace(base, weights=disabled, disabled_terms=(term,)))
+            cfg = replace(base, weights=zeroed)
+            p_zero, _ = tr.train(ds, tiny_model, cfg)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(md, loss_fn, raising_stub(loss_fn))
+                p_off, _ = tr.train(ds, tiny_model, cfg)
             for name, t in p_zero.tensors().items():
                 if not np.array_equal(t.data, p_off[name].data):
                     bitwise_ok = False
@@ -228,18 +232,18 @@ class TestCriterion5MetricOracles:
                 f1s.append(0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn))
                 supports.append(conf[cls, :].sum())
             f1_worst = max(f1_worst,
-                           abs(ev.multiclass_f1(pred, true, "macro") - np.mean(f1s)))
+                           abs(ev.multiclass_f1(pred, true, c, "macro") - np.mean(f1s)))
             if sum(supports):
                 f1_worst = max(f1_worst,
-                               abs(ev.multiclass_f1(pred, true, "weighted")
+                               abs(ev.multiclass_f1(pred, true, c, "weighted")
                                    - np.average(f1s, weights=supports)))
             if c == 2:
                 f1_worst = max(f1_worst, abs(ev.f1_binary(pred, true) - f1s[1]))
 
         true = np.repeat([0, 1, 2], 25)
         pred = rng.integers(0, 3, size=75)
-        balanced_gap = abs(ev.multiclass_f1(pred, true, "weighted")
-                           - ev.multiclass_f1(pred, true, "macro"))
+        balanced_gap = abs(ev.multiclass_f1(pred, true, 3, "weighted")
+                           - ev.multiclass_f1(pred, true, 3, "macro"))
         elapsed = time.time() - start
         report_line(5, auc_worst < 1e-12 and f1_worst < 1e-12 and balanced_gap < 1e-12
                     and elapsed < 10,

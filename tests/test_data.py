@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from clclsa import data as dt
 
@@ -289,6 +291,38 @@ class TestSplit:
         ds = small_dataset(10)
         train, test = dt.split(ds, dt.SplitSpec(train_fraction=0.5, seed=3, stratified=False))
         assert train.n_subjects == 5 and test.n_subjects == 5
+
+
+class TestSplitAndMaskProperties:
+    @given(n=st.integers(1, 30), m=st.integers(2, 4), eta=st.floats(0.0, 1.0),
+           drop=st.sets(st.integers(0, 3), max_size=3), seed=st.integers(0, 2 ** 16))
+    def test_every_subject_keeps_a_view(self, n, m, eta, drop, seed):
+        """Uniform or fixed-drop policy: exactly round(eta*N) subjects lose views,
+        and each subject keeps at least one."""
+        drop = sorted(v for v in drop if v < m)[:m - 1]
+        policy = "drop:" + ",".join(map(str, drop)) if drop else "uniform"
+        ds = dt.MultiOmicsDataset(views=[np.zeros((n, 1))] * m, mask=np.ones((n, m), bool),
+                                  labels=np.zeros(n, int), class_count=1)
+        out = dt.apply_missingness(ds, dt.MissingnessSpec(eta=eta, seed=seed, policy=policy))
+        assert out.mask.any(axis=1).all()
+        assert int((~out.mask.all(axis=1)).sum()) == int(round(eta * n))
+
+    @given(counts=st.lists(st.integers(2, 12), min_size=1, max_size=4),
+           fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 16))
+    def test_stratified_train_counts_follow_the_fraction(self, counts, fraction, seed):
+        labels = np.repeat(np.arange(len(counts)), counts)
+        n = labels.size
+        ds = dt.MultiOmicsDataset(views=[np.arange(n, dtype=float)[:, None]] * 2,
+                                  mask=np.ones((n, 2), bool), labels=labels,
+                                  class_count=len(counts))
+        try:
+            train, test = dt.split(ds, dt.SplitSpec(train_fraction=fraction, seed=seed))
+        except dt.SplitError:
+            assume(False)
+        train_counts = np.bincount(train.labels, minlength=len(counts))
+        assert np.all(np.abs(train_counts - fraction * np.array(counts)) <= 1.0)
+        ids = np.concatenate([train.views[0][:, 0], test.views[0][:, 0]])
+        assert sorted(ids.tolist()) == list(range(n))
 
 
 class TestRestrictViews:

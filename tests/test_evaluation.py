@@ -82,15 +82,15 @@ class TestAucBinary:
 class TestMulticlassF1:
     def test_perfect_balanced(self):
         pred = true = np.array([0, 1, 2, 0, 1, 2])
-        assert ev.multiclass_f1(pred, true, "macro") == 1.0
-        assert ev.multiclass_f1(pred, true, "weighted") == 1.0
+        assert ev.multiclass_f1(pred, true, 3, "macro") == 1.0
+        assert ev.multiclass_f1(pred, true, 3, "weighted") == 1.0
 
     def test_balanced_weighted_equals_macro(self):
         rng = np.random.default_rng(2)
         true = np.repeat([0, 1, 2], 30)
         pred = rng.integers(0, 3, size=90)
-        macro = ev.multiclass_f1(pred, true, "macro")
-        weighted = ev.multiclass_f1(pred, true, "weighted")
+        macro = ev.multiclass_f1(pred, true, 3, "macro")
+        weighted = ev.multiclass_f1(pred, true, 3, "weighted")
         assert abs(macro - weighted) < 1e-12
 
     def test_matches_confusion_matrix_oracle(self):
@@ -108,17 +108,26 @@ class TestMulticlassF1:
             supports.append(conf[c, :].sum())
         macro_oracle = np.mean(f1s)
         weighted_oracle = np.average(f1s, weights=supports)
-        assert abs(ev.multiclass_f1(pred, true, "macro") - macro_oracle) < 1e-12
-        assert abs(ev.multiclass_f1(pred, true, "weighted") - weighted_oracle) < 1e-12
+        assert abs(ev.multiclass_f1(pred, true, 3, "macro") - macro_oracle) < 1e-12
+        assert abs(ev.multiclass_f1(pred, true, 3, "weighted") - weighted_oracle) < 1e-12
 
     def test_binary_macro_consistent_with_f1_binary(self):
         rng = np.random.default_rng(4)
         pred = rng.integers(0, 2, size=30)
         true = rng.integers(0, 2, size=30)
-        macro = ev.multiclass_f1(pred, true, "macro")
+        macro = ev.multiclass_f1(pred, true, 2, "macro")
         mean_of_views = 0.5 * (ev.f1_binary(pred, true, positive_class=1)
                                + ev.f1_binary(1 - pred, 1 - true, positive_class=1))
         assert abs(macro - mean_of_views) < 1e-12
+
+    def test_score_does_not_depend_on_which_class_is_absent(self):
+        # perfect predictions on a 3-class problem with one class unseen
+        without_two = np.array([0, 1, 0, 1])
+        without_one = np.array([0, 2, 0, 2])
+        for mode in ("macro", "weighted"):
+            assert (ev.multiclass_f1(without_two, without_two, 3, mode)
+                    == ev.multiclass_f1(without_one, without_one, 3, mode))
+        assert ev.multiclass_f1(without_two, without_two, 3, "macro") == pytest.approx(2 / 3)
 
 
 class TestMetricsReport:

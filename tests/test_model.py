@@ -2,6 +2,8 @@
 
 import base64
 import json
+import os
+import tempfile
 import warnings
 from dataclasses import astuple
 
@@ -533,6 +535,28 @@ class TestFusedNodesProperty:
             assert same_bits(a, b)
 
 
+class TestCompletionProperty:
+    @given(small_problems())
+    def test_observed_rows_pass_through_and_statistics_stay(self, problem):
+        """Any valid mask: observed latents come out bit for bit, missing ones are
+        filled, and completion leaves every running statistic as it was."""
+        config, mask, seed = problem
+        params = stirred_stats(jittered(md.CLCLSAParams.init_random(config, seed)))
+        before = {k: (s.running_mean.copy(), s.running_var.copy())
+                  for k, s in params.bn_states.items()}
+        rng = np.random.default_rng(seed)
+        d = config.embed_dims[0]
+        zs = [rng.normal(size=(int(mask[:, i].sum()), d)) for i in range(config.num_views)]
+        out, provenance = md.complete_missing(zs, mask, params)
+        np.testing.assert_array_equal(provenance, ~mask)
+        for i, z in enumerate(zs):
+            assert same_bits(out[i].data[mask[:, i]], z)
+            assert np.isfinite(out[i].data).all()
+        for name, (mean, var) in before.items():
+            assert same_bits(params.bn_states[name].running_mean, mean)
+            assert same_bits(params.bn_states[name].running_var, var)
+
+
 def _pair_loss_oracle(p, alpha):
     """Independent double-loop evaluation with clamped logs."""
     floor = 1e-12
@@ -933,6 +957,40 @@ class TestCheckpoint:
                               (loaded.bn_states[name].running_var, s.running_var)):
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @given(small_problems())
+    def test_any_shapes_and_bit_patterns_round_trip(self, problem):
+        """Random architectures whose tensors and statistics hold arbitrary float64
+        bit patterns, quiet and signalling NaN payloads of both signs included."""
+        config, _, seed = problem
+        params = md.CLCLSAParams.init_random(config, seed)
+        rng = np.random.default_rng(seed)
+        nans = np.array([0x7FF8000000000001, 0xFFF0000000000ABC, 0x7FF0000000000001,
+                         0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+
+        def arbitrary(shape):
+            bits = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64)
+            bits.ravel()[:nans.size] = nans[:bits.size]
+            return bits.view(np.float64)
+
+        for t in params.tensors().values():
+            t.data = arbitrary(t.data.shape)
+        for s in params.bn_states.values():
+            s.running_mean = arbitrary(s.running_mean.shape)
+            s.running_var = arbitrary(s.running_var.shape)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "ckpt.json")
+            md.save_checkpoint(path, params)
+            loaded = md.load_checkpoint(path)
+        assert loaded.config == config
+        assert list(loaded.tensors()) == list(params.tensors())
+        for name, t in params.tensors().items():
+            assert same_bits(loaded[name].data, t.data), name
+        assert loaded.bn_states.keys() == params.bn_states.keys()
+        for name, s in params.bn_states.items():
+            got = loaded.bn_states[name]
+            assert same_bits(got.running_mean, s.running_mean), name
+            assert same_bits(got.running_var, s.running_var), name
+
     def test_rejects_non_object_json(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[]")
@@ -994,3 +1052,7 @@ class TestCheckpoint:
         assert extra["aborted"] is True and set(extra) == {"aborted", "term", "epoch"}
         loaded = md.load_checkpoint(path)
         assert loaded.config.embed_dims == (4, 4, 4)
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert sorted(manifest["artifacts"]) == sorted(
+            str(run / name) for name in ("checkpoint.json", "epochs.csv", "config.json"))
+        assert manifest["command"] == "train" and manifest["seeds"] == [3]

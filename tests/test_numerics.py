@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clclsa import numerics as nm
 
@@ -279,6 +281,33 @@ class TestGatherRows:
             np.add.at(scattered, idx, upstream)
             expected = scattered if prior is None else prior + scattered
             np.testing.assert_array_equal(a.grad, expected)
+
+
+@st.composite
+def row_selections(draw):
+    """(rows, columns, distinct row indices in any order, data seed)."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(n)))
+    idx = np.array(order[:draw(st.integers(0, n))], dtype=np.intp)
+    return n, draw(st.integers(1, 4)), idx, draw(st.integers(0, 2 ** 16))
+
+
+class TestGatherScatterAdjoint:
+    @given(row_selections())
+    def test_gather_and_scatter_are_adjoint(self, case):
+        """<gather(A), B> = <A, scatter(B)>, and each op's backward is the other op."""
+        n, cols, idx, seed = case
+        rng = np.random.default_rng(seed)
+        a = nm.parameter(rng.normal(size=(n, cols)), "a")
+        b = nm.parameter(rng.normal(size=(idx.size, cols)), "b")
+        gathered, scattered = nm.gather_rows(a, idx), nm.scatter_rows(b, idx, n)
+        lhs = (gathered.data * b.data).sum()
+        rhs = (a.data * scattered.data).sum()
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+        grad_a = nm.gradients(nm.sum_all(nm.mul(gathered, nm.constant(b.data))), {"a": a})
+        np.testing.assert_array_equal(grad_a["a"], scattered.data)
+        grad_b = nm.gradients(nm.sum_all(nm.mul(scattered, nm.constant(a.data))), {"b": b})
+        np.testing.assert_array_equal(grad_b["b"], gathered.data)
 
 
 class TestGradientsAgainstFiniteDifferences:

@@ -24,6 +24,14 @@ def tiny_dataset(n=24, seed=0, eta=0.0):
     return ds
 
 
+def raising_stub(name):
+    """A stand-in for code that must not run (such as a switched-off loss term):
+    calling it fails the test."""
+    def stub(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return stub
+
+
 def quick_config(**kw):
     base = dict(epochs=20, initial_lr=1e-3, lr_schedule="constant", seed=0,
                 weights=md.LossWeights(0.1, 0.1, 0.01, 9.0))
@@ -33,7 +41,7 @@ def quick_config(**kw):
 
 class TestConfigJson:
     def test_configs_round_trip_through_json(self):
-        cfg = quick_config(batch_size=8, disabled_terms=["co"])
+        cfg = quick_config(batch_size=8, reduction="sum")
         doc = json.loads(json.dumps(asdict(cfg)))
         doc["weights"] = md.LossWeights(**doc["weights"])
         assert tr.TrainConfig(**doc) == cfg
@@ -54,6 +62,16 @@ class TestLrSchedule:
     def test_constant_schedule(self):
         cfg = tr.TrainConfig(lr_schedule="constant", initial_lr=3e-3)
         assert tr.lr_at(1234, cfg) == 3e-3
+
+    def test_decay_interval_below_one_rejected(self):
+        for every in (0, -3):
+            with pytest.raises(ValueError, match="lr_decay_every"):
+                tr.TrainConfig(lr_decay_every=every)
+
+    def test_nonpositive_decay_factor_rejected(self):
+        for factor in (0.0, -1.0):
+            with pytest.raises(ValueError, match="lr_decay_factor"):
+                tr.TrainConfig(lr_decay_factor=factor)
 
 
 class TestTrain:
@@ -199,23 +217,24 @@ class TestTrain:
 
 
 class TestAblationEquivalence:
-    def test_zero_weight_equals_disabled_code_path(self):
-        """lambda_x = 0 is bitwise identical to removing term x entirely."""
+    def test_zero_weight_equals_disabled_code_path(self, monkeypatch):
+        """lambda_x = 0 is bitwise identical to removing term x entirely: the run
+        completes with the term's loss function replaced by one that raises."""
         ds = tiny_dataset(n=30, eta=0.3)
-        for term, weights_zero, weights_disabled in (
-            ("co", md.LossWeights(0.1, 0.0, 0.01, 9.0), md.LossWeights(0.1, 0.7, 0.01, 9.0)),
-            ("cl", md.LossWeights(0.1, 0.1, 0.0, 9.0), md.LossWeights(0.1, 0.1, 0.9, 9.0)),
-            ("al", md.LossWeights(0.0, 0.1, 0.01, 9.0), md.LossWeights(0.8, 0.1, 0.01, 9.0)),
+        for loss_fn, weights_zero in (
+            ("loss_cross_omics", md.LossWeights(0.1, 0.0, 0.01, 9.0)),
+            ("loss_contrastive", md.LossWeights(0.1, 0.1, 0.0, 9.0)),
+            ("loss_auxiliary", md.LossWeights(0.0, 0.1, 0.01, 9.0)),
         ):
             cfg_zero = quick_config(weights=weights_zero, epochs=20)
-            cfg_disabled = quick_config(weights=weights_disabled, epochs=20,
-                                        disabled_terms=(term,))
             p_zero, _ = tr.train(ds, TINY_MODEL, cfg_zero)
-            p_disabled, _ = tr.train(ds, TINY_MODEL, cfg_disabled)
+            with monkeypatch.context() as m:
+                m.setattr(md, loss_fn, raising_stub(loss_fn))
+                p_disabled, _ = tr.train(ds, TINY_MODEL, cfg_zero)
             for name, t in p_zero.tensors().items():
                 np.testing.assert_array_equal(
                     t.data, p_disabled[name].data,
-                    err_msg=f"term {term}, parameter {name}")
+                    err_msg=f"term {loss_fn}, parameter {name}")
 
 
 class TestGridSearch:
@@ -233,6 +252,17 @@ class TestGridSearch:
         result = tr.grid_search(ds, None, TINY_MODEL, grid, quick_config(epochs=2))
         assert len(result.trials) == 4
         assert all(t.weights.lambda_co == 0.0 for t in result.trials)
+
+    def test_unknown_metric_rejected_before_any_training(self, tmp_path, monkeypatch,
+                                                         capsys):
+        from clclsa import cli
+
+        dt.write_dataset(tiny_dataset(), str(tmp_path / "data"))
+        monkeypatch.setattr(tr, "train", raising_stub("train"))
+        code = cli.dispatch(["grid", "--data", str(tmp_path / "data"), "--seed", "1",
+                             "--out", str(tmp_path / "out"), "--set", "grid.metric=auc"])
+        assert code == 2
+        assert "metric must be one of" in capsys.readouterr().err
 
     def test_tie_rule_picks_smallest_triple(self):
         trials = [
