@@ -5,13 +5,15 @@ subcommand except eval accepts --config FILE (JSON) with individual flags
 taking precedence (and --set section.key=value for any leaf field), and
 writes a manifest recording the resolved configuration, seeds, input
 digests, artifact paths, the environment (Python, numpy, BLAS and the BLAS
-thread variables), and duration. Stochastic subcommands require an
+thread variables, platform, usable CPUs), and duration; eval writes one
+beside its metrics file when given --out. Stochastic subcommands require an
 explicit --seed; re-running the same command line reproduces every emitted
 number bitwise in single-thread mode.
 
 Exit codes: 0 success, 1 usage error (including an unknown config section or
-key, a malformed flag value, or --etas out of ascending order), 2
-runtime/numeric failure.
+key, a config value its constructor rejects, a malformed flag value, --etas
+out of ascending order, or a checkpoint whose views, widths or classes do not
+match the evaluated data), 2 runtime/numeric failure.
 """
 
 from __future__ import annotations
@@ -98,9 +100,13 @@ def _check_keys(section, known, prefix=""):
 
 
 def _build(cls, section, name):
-    """Construct `cls` from a config section, rejecting keys it has no field for."""
+    """Construct `cls` from a config section; a key it has no field for or a
+    value it rejects is a usage error."""
     _check_keys(section, {f.name for f in fields(cls)}, name + ".")
-    return cls(**section)
+    try:
+        return cls(**section)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{name}: {exc}") from None
 
 
 def _model_config(config, args, ds):
@@ -146,8 +152,16 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count()
+
+
 def _environment():
-    """Python, numpy and BLAS versions and the BLAS thread variables of this process."""
+    """Python, numpy and BLAS versions, the BLAS thread variables, the platform
+    and the CPUs this process may run on."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy before 1.25 only prints its build configuration
@@ -158,6 +172,8 @@ def _environment():
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+        "platform": platform.platform(),
+        "usable_cpus": _usable_cpus(),
     }
 
 
@@ -278,7 +294,8 @@ def _cmd_mask(args, config):
     if eta is None:
         raise UsageError("mask needs --eta")
     policy = args.policy or section.get("policy", "uniform")
-    spec = dt.MissingnessSpec(eta=eta, seed=args.seed, policy=policy)
+    spec = _build(dt.MissingnessSpec, {"eta": eta, "seed": args.seed, "policy": policy},
+                  "mask")
     masked = dt.apply_missingness(ds, spec)
     out = _out_dir(args)
     dt.write_dataset(masked, out, manifest_extra={
@@ -329,20 +346,43 @@ def _cmd_train(args, config):
     return 0
 
 
+def _check_checkpoint_fits(config, ds):
+    for what, want, got in (("views", config.num_views, ds.n_views),
+                            ("input widths", config.input_dims, ds.view_dims),
+                            ("classes", config.num_classes, ds.class_count)):
+        if want != got:
+            raise UsageError(f"the checkpoint's model has {what} {want}, "
+                             f"the data has {got}")
+
+
 def _cmd_eval(args, config):
+    started = time.time()
+    out_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else None
+    if out_dir:
+        existing = os.path.join(out_dir, "run_manifest.json")
+        if os.path.exists(existing):
+            with open(existing) as fh:
+                command = json.load(fh).get("command")
+            if command != "eval":
+                raise UsageError(f"{existing} records a {command} run; "
+                                 "write the metrics to another directory")
     ds = dt.load_dataset_dir(args.data, scale=args.scale)
     params = md.load_checkpoint(args.checkpoint)
+    _check_checkpoint_fits(params.config, ds)
     yhat, pred = md.predict(ds.views, ds.mask, params)
     report = ev.compute_report(yhat, ds.labels, ds.class_count,
                                metadata={"checkpoint": args.checkpoint, "data": args.data})
     text = json.dumps(asdict(report), indent=2)
-    if args.out:
-        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote metrics to {args.out}")
-    else:
+    if not args.out:
         print(text)
+        return 0
+    os.makedirs(out_dir, exist_ok=True)
+    with open(args.out, "w") as fh:
+        fh.write(text + "\n")
+    resolved = {"eval": {"checkpoint": args.checkpoint, "data": args.data, "scale": args.scale}}
+    _write_manifest(out_dir, "eval", resolved, [],
+                    [args.checkpoint, *_dataset_inputs(args.data)], [args.out], started)
+    print(f"wrote metrics to {args.out}")
     return 0
 
 

@@ -39,26 +39,21 @@ from .numerics import (
     clamp_min,
     concat_cols,
     constant,
-    dropout,
-    gather_rows,
     log,
     mean_all,
-    mul,
     neg,
     parameter,
     pick_per_row,
-    relu,
     scale,
     scatter_rows,
-    sigmoid,
     softmax_rows,
-    sub,
     sum_all,
 )
 
-# joint_distribution fuses these two; bench/tracing.py still wraps them on this
-# module by name
-from .numerics import mean_outer, unit_sum  # noqa: F401
+# the fused nodes do these ops' arithmetic; bench/tracing.py still wraps them on
+# this module by name
+from .numerics import (  # noqa: F401
+    dropout, gather_rows, mean_outer, mul, relu, sigmoid, sub, unit_sum)
 
 LOG_FLOOR = 1e-12
 GRID_VALUES = (0.0, 0.01, 0.02, 0.05, 0.1, 1.0)
@@ -263,26 +258,83 @@ class ViewForward:
     yhat: Tensor
 
 
+def _plus(a, b):
+    """Sum of two gradient contributions, either of which may be absent."""
+    return b if a is None else a + b
+
+
 def forward_view(x, params: CLCLSAParams, view: int, mode: str,
                  rng: Optional[RngStream] = None) -> ViewForward:
-    """Gate, embed, and classify one view's features."""
+    """Gate, embed, and classify one view's features.
+
+    One node with outputs `zhat`, `matt` and `yhat` that does the arithmetic
+    of the op-by-op chain (sigmoid(affine), mul, affine, ReLU, dropout drawn
+    as `numerics.dropout` draws it, sigmoid(affine), mul, softmax(affine)).
+    `fatt` and `xhat` come back as constants.
+    """
     x = as_tensor(x)
     cfg = params.config
     if x.cols != cfg.input_dims[view]:
         raise nm.ShapeError(
             f"view {view} expects {cfg.input_dims[view]} features, got {x.cols}")
-    p = params
-    fatt = sigmoid(affine(x, p[f"view{view}.fatt.W"], p[f"view{view}.fatt.b"]))
-    gated = mul(x, fatt)
-    xhat = relu(affine(gated, p[f"view{view}.embed.W"], p[f"view{view}.embed.b"]))
+    fw, fb, ew, eb, gw, gb, aw, ab = (params[f"view{view}.{name}"] for name in (
+        "fatt.W", "fatt.b", "embed.W", "embed.b", "gate.W", "gate.b", "aux.W", "aux.b"))
+    xd = x.data
+    fatt = nm.sigmoid_values(xd @ fw.data + fb.data)
+    gated = xd * fatt
+    a2 = gated @ ew.data + eb.data
+    xhat = np.maximum(a2, 0.0)
+    keep = None
     if mode == "train" and cfg.dropout_p > 0.0:
         if rng is None:
             raise ValueError("forward_view needs an RngStream in train mode with dropout")
-        xhat = dropout(xhat, cfg.dropout_p, mode, rng)
-    matt = sigmoid(affine(xhat, p[f"view{view}.gate.W"], p[f"view{view}.gate.b"]))
-    zhat = mul(xhat, matt)
-    yhat = softmax_rows(affine(zhat, p[f"view{view}.aux.W"], p[f"view{view}.aux.b"]))
-    return ViewForward(fatt=fatt, xhat=xhat, matt=matt, zhat=zhat, yhat=yhat)
+        keep = nm.dropout_mask(rng, *xhat.shape, cfg.dropout_p)
+        xhat *= keep
+    matt = nm.sigmoid_values(xhat @ gw.data + gb.data)
+    zhat = xhat * matt
+    yhat = nm.softmax_values(zhat @ aw.data + ab.data)
+
+    def backward_fn(grads):
+        gz, gm, gy = grads
+        if gy is not None:
+            g = gy * yhat
+            np.subtract(gy, g.sum(axis=1, keepdims=True), out=g)
+            g *= yhat
+            nm.accumulate_grad(aw, zhat.T @ g)
+            nm.accumulate_grad(ab, g.sum(axis=0, keepdims=True))
+            gz = _plus(gz, g @ aw.data.T)
+        gx = None
+        if gz is not None:
+            gx = gz * matt
+            gm = _plus(gm, (gz * xhat).sum(axis=1, keepdims=True))
+        if gm is not None:
+            g = gm * matt * (1.0 - matt)
+            nm.accumulate_grad(gw, xhat.T @ g)
+            nm.accumulate_grad(gb, g.sum(axis=0, keepdims=True))
+            gx = _plus(gx, g @ gw.data.T)
+        if gx is None:
+            return
+        # gx is this hook's own array from here on
+        if keep is not None:
+            gx *= keep
+        gx *= a2 > 0
+        g = gx
+        nm.accumulate_grad(ew, gated.T @ g)
+        nm.accumulate_grad(eb, g.sum(axis=0, keepdims=True))
+        gg = g @ ew.data.T
+        g = gg * xd
+        g *= fatt
+        g *= 1.0 - fatt
+        nm.accumulate_grad(fw, xd.T @ g)
+        nm.accumulate_grad(fb, g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            nm.accumulate_grad(x, gg * fatt)
+            nm.accumulate_grad(x, g @ fw.data.T)
+
+    zhat_t, matt_t, yhat_t = nm.multi_output_op(
+        (zhat, matt, yhat), (x, fw, fb, ew, eb, gw, gb, aw, ab), backward_fn)
+    return ViewForward(fatt=constant(fatt), xhat=constant(xhat), matt=matt_t, zhat=zhat_t,
+                       yhat=yhat_t)
 
 
 def fuse(zhats) -> Tensor:
@@ -305,22 +357,25 @@ def _bn_relu(x, w, b, gamma, beta, state, mode):
     normalizes by its running statistics. Returns the output and the arrays
     `_bn_relu_backward` reuses.
     """
-    a = x @ w.data + b.data
+    xhat = x @ w.data + b.data
     if mode == "train":
-        n = a.shape[0]
+        n = xhat.shape[0]
         if n < 2:
             raise nm.BatchSizeError(f"batch_norm needs at least 2 rows in train mode, got {n}")
-        mu = a.mean(axis=0, keepdims=True)
-        var = a.var(axis=0, keepdims=True)
+        # the steps of numpy's mean and (biased) var, sharing the centred batch
+        mu = xhat.sum(axis=0, keepdims=True) / n
+        xhat -= mu
+        var = (xhat * xhat).sum(axis=0, keepdims=True) / n
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (a - mu) * inv_std
         m = state.momentum
         state.running_mean = (1.0 - m) * state.running_mean + m * mu
         state.running_var = (1.0 - m) * state.running_var + m * var
     else:
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (a - state.running_mean) * inv_std
-    y = xhat * gamma.data + beta.data
+        xhat -= state.running_mean
+    xhat *= inv_std
+    y = xhat * gamma.data
+    y += beta.data
     return np.maximum(y, 0.0), (y, xhat, inv_std)
 
 
@@ -328,18 +383,59 @@ def _bn_relu_backward(g, x, w, b, gamma, beta, saved, mode, need_x):
     """Add `_bn_relu`'s parameter partials for output gradient g; returns d/dx if need_x."""
     y, xhat, inv_std = saved
     g = g * (y > 0)
-    nm.accumulate_grad(gamma, (g * xhat).sum(axis=0, keepdims=True))
+    t = g * xhat
+    nm.accumulate_grad(gamma, t.sum(axis=0, keepdims=True))
     nm.accumulate_grad(beta, g.sum(axis=0, keepdims=True))
     if mode == "train":
+        # (inv_std / n) (n dxhat - sum(dxhat) - xhat sum(dxhat xhat)), dxhat = g gamma,
+        # in place in that order
         n = g.shape[0]
-        dxhat = g * gamma.data
-        g = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0, keepdims=True)
-                             - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
+        g *= gamma.data
+        np.multiply(g, xhat, out=t)
+        np.multiply(xhat, t.sum(axis=0, keepdims=True), out=t)
+        s = g.sum(axis=0, keepdims=True)
+        g *= n
+        g -= s
+        g -= t
+        g *= inv_std / n
     else:
-        g = g * (gamma.data * inv_std)
+        g *= gamma.data * inv_std
     nm.accumulate_grad(w, x.T @ g)
     nm.accumulate_grad(b, g.sum(axis=0, keepdims=True))
     return g @ w.data.T if need_x else None
+
+
+def _translate(z, source: int, target: int, params: CLCLSAParams, mode: str, stats):
+    """decoder_target(encoder_source(z)) on an array, with the arithmetic of
+    the op-by-op composition; train mode updates the running statistics in
+    `stats`. Returns the output, the parameter tensors, and `backward(g,
+    need_z)`, which adds the parameter partials and returns d/dz if need_z.
+    """
+    enc, dec = f"view{source}.", f"view{target}."
+    weights = tuple(params[enc + name] for name in (
+        "enc1.W", "enc1.b", "enc1_bn.gamma", "enc1_bn.beta", "enc2.W", "enc2.b")) \
+        + tuple(params[dec + name] for name in (
+            "dec1.W", "dec1.b", "dec1_bn.gamma", "dec1_bn.beta", "dec2.W", "dec2.b"))
+    enc1, (enc2_w, enc2_b), dec1, (dec2_w, dec2_b) = \
+        weights[0:4], weights[4:6], weights[6:10], weights[10:12]
+    if z.shape[1] != enc1[0].rows:
+        raise nm.ShapeError(
+            f"cross_predict: view {source} latents are {enc1[0].rows} wide, got {z.shape[1]}")
+    h1, saved1 = _bn_relu(z, *enc1, stats[enc + "enc1_bn"], mode)
+    a2 = h1 @ enc2_w.data + enc2_b.data
+    code = np.maximum(a2, 0.0)
+    h3, saved3 = _bn_relu(code, *dec1, stats[f"{dec}dec1_bn@src{source}"], mode)
+
+    def backward(g, need_z):
+        nm.accumulate_grad(dec2_w, h3.T @ g)
+        nm.accumulate_grad(dec2_b, g.sum(axis=0, keepdims=True))
+        g = _bn_relu_backward(g @ dec2_w.data.T, code, *dec1, saved3, mode, True)
+        g *= a2 > 0
+        nm.accumulate_grad(enc2_w, h1.T @ g)
+        nm.accumulate_grad(enc2_b, g.sum(axis=0, keepdims=True))
+        return _bn_relu_backward(g @ enc2_w.data.T, z, *enc1, saved1, mode, need_z)
+
+    return h3 @ dec2_w.data + dec2_b.data, weights, backward
 
 
 def cross_predict(z, source: int, target: int, params: CLCLSAParams, mode: str,
@@ -354,9 +450,9 @@ def cross_predict(z, source: int, target: int, params: CLCLSAParams, mode: str,
     (each encoder feeds the decoder a different distribution). Train mode
     updates the running statistics in `bn_stats` (default `params.bn_states`).
 
-    The chain is one tape node with a hand-written backward that does the
-    arithmetic of the op-by-op composition, so values and gradients are the
-    same bits.
+    One tape node whose forward and backward are `_translate`'s, the same
+    arithmetic that completion and the cross-omics term run inside their own
+    nodes.
     """
     if source == target:
         raise PairError(f"cross_predict needs distinct views, got {source} -> {target}")
@@ -364,37 +460,51 @@ def cross_predict(z, source: int, target: int, params: CLCLSAParams, mode: str,
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     z = as_tensor(z)
     stats = params.bn_states if bn_stats is None else bn_stats
-    p = params
-    enc, dec = f"view{source}.", f"view{target}."
-    enc1 = (p[enc + "enc1.W"], p[enc + "enc1.b"], p[enc + "enc1_bn.gamma"],
-            p[enc + "enc1_bn.beta"])
-    enc2_w, enc2_b = p[enc + "enc2.W"], p[enc + "enc2.b"]
-    dec1 = (p[dec + "dec1.W"], p[dec + "dec1.b"], p[dec + "dec1_bn.gamma"],
-            p[dec + "dec1_bn.beta"])
-    dec2_w, dec2_b = p[dec + "dec2.W"], p[dec + "dec2.b"]
-    if z.cols != enc1[0].rows:
-        raise nm.ShapeError(
-            f"cross_predict: view {source} latents are {enc1[0].rows} wide, got {z.cols}")
-    h1, saved1 = _bn_relu(z.data, *enc1, stats[enc + "enc1_bn"], mode)
-    a2 = h1 @ enc2_w.data + enc2_b.data
-    code = np.maximum(a2, 0.0)
-    h3, saved3 = _bn_relu(code, *dec1, stats[f"{dec}dec1_bn@src{source}"], mode)
+    out, weights, back = _translate(z.data, source, target, params, mode, stats)
 
-    def backward_fn(out):
-        g = out.grad
-        nm.accumulate_grad(dec2_w, h3.T @ g)
-        nm.accumulate_grad(dec2_b, g.sum(axis=0, keepdims=True))
-        g = _bn_relu_backward(g @ dec2_w.data.T, code, *dec1, saved3, mode, True)
-        g = g * (a2 > 0)
-        nm.accumulate_grad(enc2_w, h1.T @ g)
-        nm.accumulate_grad(enc2_b, g.sum(axis=0, keepdims=True))
-        g = _bn_relu_backward(g @ enc2_w.data.T, z.data, *enc1, saved1, mode,
-                              z.requires_grad)
+    def backward_fn(node):
+        g = back(node.grad, z.requires_grad)
         if g is not None:
             nm.accumulate_grad(z, g)
 
-    return nm.custom_op(h3 @ dec2_w.data + dec2_b.data,
-                        (z, *enc1, enc2_w, enc2_b, *dec1, dec2_w, dec2_b), backward_fn)
+    return nm.custom_op(out, (z, *weights), backward_fn)
+
+
+def _complete_view(full, target: int, miss_rows, mask, observed_counts,
+                   params: CLCLSAParams) -> Tensor:
+    """View `target`'s completed latent as one node over `full`, every view's
+    latents scattered to all subjects: the arithmetic of
+    (+ scatter(translate(gather)))* -> times the reciprocal source count,
+    with the backward taking the sources in descending order, as the op-by-op
+    record's reverse order does.
+    """
+    # adding scatter(pred) adds 0.0 to the rows outside sel: one + 0.0 covers them all
+    acc = full[target].data + 0.0
+    sources = []
+    parents = [full[target]]
+    for k, source in enumerate(full):
+        sel = miss_rows[mask[miss_rows, k]]
+        if k == target or sel.size == 0:
+            continue
+        pred, weights, back = _translate(source.data[sel], k, target, params, "eval",
+                                         params.bn_states)
+        acc[sel] += pred
+        sources.append((source, sel, back))
+        parents += [source, *weights]
+    # observed rows keep weight 1; missing rows average their sources
+    inv = np.ones((acc.shape[0], 1))
+    inv[miss_rows, 0] = 1.0 / observed_counts[miss_rows]
+    acc *= inv
+
+    def backward_fn(out):
+        g = out.grad * inv
+        for source, sel, back in reversed(sources):
+            g_source = back(g[sel], source.requires_grad)
+            if g_source is not None:
+                nm.accumulate_rows(source, sel, g_source)
+        nm.accumulate_grad(full[target], g)
+
+    return nm.custom_op(acc, parents, backward_fn)
 
 
 def complete_missing(zhats, mask, params: CLCLSAParams):
@@ -405,7 +515,7 @@ def complete_missing(zhats, mask, params: CLCLSAParams):
     missing latent is the mean of the translations from every observed view
     of that subject; observed rows pass through unchanged. Returns (list of
     N x D completed latents, provenance) where provenance[j, i] is True iff
-    subject j's view i was completed.
+    subject j's view i was completed; each view with a missing row is one node.
 
     The translators always run in eval mode here, in training too: they
     normalize with the running statistics in `params.bn_states` and update
@@ -423,30 +533,15 @@ def complete_missing(zhats, mask, params: CLCLSAParams):
     if np.any(observed_counts == 0):
         bad = int(np.flatnonzero(observed_counts == 0)[0])
         raise SubjectError(f"subject {bad} has no observed view")
-    cfg = params.config
-    provenance = ~mask
     full = [scatter_rows(z, np.flatnonzero(mask[:, i]), n) for i, z in enumerate(zhats)]
     out = []
     for i in range(m):
         miss_rows = np.flatnonzero(~mask[:, i])
-        base = full[i]
-        if miss_rows.size == 0 or cfg.completion == "zero":
-            out.append(base)
-            continue
-        acc = base
-        for k in range(m):
-            if k == i:
-                continue
-            sel = miss_rows[mask[miss_rows, k]]
-            if sel.size == 0:
-                continue
-            pred = cross_predict(gather_rows(full[k], sel), k, i, params, "eval")
-            acc = nm.add(acc, scatter_rows(pred, sel, n))
-        # observed rows keep weight 1; missing rows average their sources
-        inv = np.ones((n, 1))
-        inv[miss_rows, 0] = 1.0 / observed_counts[miss_rows]
-        out.append(mul(acc, constant(inv)))
-    return out, provenance
+        if miss_rows.size == 0 or params.config.completion == "zero":
+            out.append(full[i])
+        else:
+            out.append(_complete_view(full, i, miss_rows, mask, observed_counts, params))
+    return out, ~mask
 
 
 @dataclass
@@ -526,6 +621,31 @@ def loss_classification(yhat, labels, reduction: str = "mean") -> Tensor:
     return mean_all(nll) if reduction == "mean" else sum_all(nll)
 
 
+def _auxiliary_term(matt: Tensor, yhat: Tensor, labels, conf, reduction: str) -> Tensor:
+    """One view's (matt - conf)^2 - log max(yhat[y], 1e-12), reduced, as one node
+    with the arithmetic of sub, mul, pick_per_row, clamp_min, log, neg, add and
+    mean_all or sum_all."""
+    rows = np.arange(yhat.rows)
+    diff = matt.data - conf
+    picked = yhat.data[rows, labels].reshape(-1, 1)
+    clamped = np.maximum(picked, LOG_FLOOR)
+    per_subject = diff * diff + -1.0 * np.log(clamped)
+    value = per_subject.mean() if reduction == "mean" else per_subject.sum()
+
+    def backward_fn(out):
+        g = out.grad[0, 0]
+        g = np.full_like(per_subject, g / per_subject.size if reduction == "mean" else g)
+        if yhat.requires_grad:
+            g_yhat = np.zeros_like(yhat.data)
+            g_yhat[rows, labels] = (-1.0 * g / clamped * (picked >= LOG_FLOOR))[:, 0]
+            nm.accumulate_grad(yhat, g_yhat)
+        if matt.requires_grad:
+            g = g * diff
+            nm.accumulate_grad(matt, g + g)
+
+    return nm.custom_op(value, (matt, yhat), backward_fn)
+
+
 def loss_auxiliary(matts, yhat_views, obs_indices, labels, reduction: str = "mean",
                    conf_targets=None) -> Tensor:
     """Per-view confidence matching plus auxiliary cross-entropy.
@@ -535,29 +655,53 @@ def loss_auxiliary(matts, yhat_views, obs_indices, labels, reduction: str = "mea
     taken as a constant so the squared term trains the gate, not the
     classifier. `conf_targets` overrides the targets (used by the
     finite-difference harness, which must differentiate the same function the
-    optimizer sees).
+    optimizer sees). Each view's term is one node.
     """
     labels = np.asarray(labels)
     total = None
     for i, (matt, yhat, obs) in enumerate(zip(matts, yhat_views, obs_indices)):
         if len(obs) == 0:
             continue
+        matt, yhat = as_tensor(matt), as_tensor(yhat)
         y_v = _check_labels(labels[obs], yhat.cols, yhat.rows)
         if conf_targets is not None:
             conf = np.asarray(conf_targets[i], dtype=np.float64).reshape(-1, 1)
         else:
             conf = yhat.data.max(axis=1, keepdims=True)
-        diff = sub(matt, constant(conf))
-        sq = mul(diff, diff)
-        nll = neg(log(clamp_min(pick_per_row(yhat, y_v), LOG_FLOOR)))
-        per_subject = nm.add(sq, nll)
-        term = mean_all(per_subject) if reduction == "mean" else sum_all(per_subject)
+        term = _auxiliary_term(matt, yhat, y_v, conf, reduction)
         total = term if total is None else nm.add(total, term)
     return total if total is not None else constant(0.0)
 
 
 def _joint_subjects(mask, i, k):
     return np.flatnonzero(mask[:, i] & mask[:, k])
+
+
+def _cross_omics_term(zhats, i: int, k: int, joint, params: CLCLSAParams, mode: str,
+                      reduction: str, stats) -> Tensor:
+    """||h[i<-k](zhat_k) - zhat_i||^2 over the subjects `joint` as one node, with
+    the arithmetic of two gathers, the translator, sub, mul, sum_all and, for
+    "mean", scale by 1/|joint|."""
+    z_i, z_k = zhats[i], zhats[k]
+    pred, weights, back = _translate(z_k.data[joint], k, i, params, mode, stats)
+    diff = pred
+    diff -= z_i.data[joint]
+    value = np.asarray((diff * diff).sum()).reshape(1, 1)
+    c = 1.0 / joint.size if reduction == "mean" else None
+    if c is not None:
+        value = c * value
+
+    def backward_fn(out):
+        g = out.grad if c is None else c * out.grad
+        g = g[0, 0] * diff
+        g += g
+        if z_i.requires_grad:
+            nm.accumulate_rows(z_i, joint, -g)
+        g_source = back(g, z_k.requires_grad)
+        if g_source is not None:
+            nm.accumulate_rows(z_k, joint, g_source)
+
+    return nm.custom_op(value, (z_i, z_k, *weights), backward_fn)
 
 
 def loss_cross_omics(zhats, mask, params: CLCLSAParams, mode: str = "eval",
@@ -569,10 +713,13 @@ def loss_cross_omics(zhats, mask, params: CLCLSAParams, mode: str = "eval",
     written; "mean" divides each pair's term by its subject count. Pairs with
     fewer than two jointly observed subjects are skipped (train-mode batch
     norm needs two rows). Train mode updates the running statistics in
-    `bn_stats` (default `params.bn_states`).
+    `bn_stats` (default `params.bn_states`). Each pair's term is one node.
     """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     mask = np.asarray(mask, dtype=bool)
     zhats = [as_tensor(z) for z in zhats]
+    stats = params.bn_states if bn_stats is None else bn_stats
     m = mask.shape[1]
     total = None
     for i in range(m):
@@ -582,39 +729,38 @@ def loss_cross_omics(zhats, mask, params: CLCLSAParams, mode: str = "eval",
             joint = _joint_subjects(mask, i, k)
             if joint.size < 2:
                 continue
-            pred = cross_predict(gather_rows(zhats[k], joint), k, i, params, mode, bn_stats)
-            target = gather_rows(zhats[i], joint)
-            diff = sub(pred, target)
-            term = sum_all(mul(diff, diff))
-            if reduction == "mean":
-                term = scale(term, 1.0 / joint.size)
+            term = _cross_omics_term(zhats, i, k, joint, params, mode, reduction, stats)
             total = term if total is None else nm.add(total, term)
     return total if total is not None else constant(0.0)
 
 
-def _softmax_rows(x):
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def joint_distribution(z_i, z_k) -> Tensor:
+def joint_distribution(z_i, z_k, rows=None) -> Tensor:
     """Joint distribution over latent coordinates of two paired views.
 
-    Rows are first mapped through a row-softmax so each subject contributes a
-    distribution over coordinates; the mean outer product is then renormalized
-    to sum to 1. One tape node whose forward and backward do the arithmetic of
-    `unit_sum(mean_outer(softmax_rows(z_i), softmax_rows(z_k)))`.
+    Rows (all of them, or the subjects `rows`) are first mapped through a
+    row-softmax so each subject contributes a distribution over coordinates;
+    the mean outer product is then renormalized to sum to 1. One tape node
+    whose forward and backward do the arithmetic of
+    `unit_sum(mean_outer(softmax_rows(gather_rows(z_i, rows)),
+    softmax_rows(gather_rows(z_k, rows))))`.
     """
     z_i, z_k = as_tensor(z_i), as_tensor(z_k)
-    if z_i.rows != z_k.rows:
+    x_i, x_k = (z_i.data, z_k.data) if rows is None else (z_i.data[rows], z_k.data[rows])
+    if x_i.shape[0] != x_k.shape[0]:
         raise nm.ShapeError(f"joint_distribution: row counts differ, {z_i.shape} vs {z_k.shape}")
-    n = z_i.rows
+    n = x_i.shape[0]
     if n == 0:
         raise nm.BatchSizeError("joint_distribution: empty batch")
-    a, b = _softmax_rows(z_i.data), _softmax_rows(z_k.data)
+    a, b = nm.softmax_values(x_i), nm.softmax_values(x_k)
     outer = (a.T @ b) / n
     s = outer.sum()
     p = outer / s
+
+    def add(t, g):
+        if rows is None:
+            nm.accumulate_grad(t, g)
+        else:
+            nm.accumulate_rows(t, rows, g)
 
     def backward_fn(out):
         g = out.grad
@@ -622,10 +768,10 @@ def joint_distribution(z_i, z_k) -> Tensor:
         # z_k first: the op-by-op record reaches its softmax before z_i's
         if z_k.requires_grad:
             gb = (a @ g) / n
-            nm.accumulate_grad(z_k, b * (gb - (gb * b).sum(axis=1, keepdims=True)))
+            add(z_k, b * (gb - (gb * b).sum(axis=1, keepdims=True)))
         if z_i.requires_grad:
             ga = (b @ g.T) / n
-            nm.accumulate_grad(z_i, a * (ga - (ga * a).sum(axis=1, keepdims=True)))
+            add(z_i, a * (ga - (ga * a).sum(axis=1, keepdims=True)))
 
     return nm.custom_op(p, (z_i, z_k), backward_fn)
 
@@ -686,8 +832,7 @@ def loss_contrastive(zhats, mask, alpha: float) -> Tensor:
             joint = _joint_subjects(mask, i, k)
             if joint.size < 2:
                 continue
-            p = joint_distribution(gather_rows(zhats[i], joint),
-                                   gather_rows(zhats[k], joint))
+            p = joint_distribution(zhats[i], zhats[k], joint)
             term = scale(loss_contrastive_pair(p, alpha), 2.0)
             total = term if total is None else nm.add(total, term)
     return total if total is not None else constant(0.0)

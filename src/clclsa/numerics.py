@@ -8,10 +8,12 @@ the model needs: affine maps, sigmoid/ReLU/row-softmax, inverted dropout,
 batch normalization with running statistics, a handful of structural ops
 (concat, gather/scatter of rows, per-row picks), and reductions.
 
-`batch_norm`, `mean_outer` and `unit_sum` are no longer on the training
-path: the model's fused `cross_predict` and `joint_distribution` nodes do
-their arithmetic in one node each, and the tests compose these ops into the
-reference that the fused nodes must match bit for bit.
+The model builds its training step from fused nodes (`custom_op`,
+`multi_output_op`) whose backward does the arithmetic of the op-by-op
+composition in the record's order; the tests compose the primitives here into
+the reference those nodes must match bit for bit. `gradients` adds into one
+flat buffer, and `adam_step` updates parameters laid out by `pack` a chunk at
+a time.
 
 Randomness goes through `RngStream`: a (seed, label) pair fully determines the
 value sequence across runs and platforms (PCG64 seeded from the label's
@@ -59,7 +61,14 @@ __all__ = [
     "mean_outer",
     "unit_sum",
     "custom_op",
+    "multi_output_op",
     "accumulate_grad",
+    "accumulate_rows",
+    "sigmoid_values",
+    "softmax_values",
+    "dropout_mask",
+    "pack",
+    "flat_view",
     "backward",
     "gradients",
     "zero_grads",
@@ -232,6 +241,14 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     _accumulate(t, g)
 
 
+def accumulate_rows(t: Tensor, rows, g: np.ndarray) -> None:
+    """Add g into rows `rows` (distinct) of a tensor's gradient, as `gather_rows` does."""
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad[rows] += g
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a gradient back down to the shape it was broadcast from."""
     if g.shape == shape:
@@ -329,13 +346,18 @@ def neg(a) -> Tensor:
     return scale(a, -1.0)
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    x = a.data
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, as `sigmoid` computes it."""
     # exp of -|x| never overflows; negating only where x >= 0 keeps a NaN's sign bit
     pos = x >= 0
     e = np.exp(np.where(pos, -x, x))
-    s = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
+
+
+def sigmoid(a) -> Tensor:
+    a = as_tensor(a)
+    s = sigmoid_values(a.data)
 
     def backward_fn(out):
         _accumulate(a, out.grad * s * (1.0 - s))
@@ -352,18 +374,30 @@ def relu(a) -> Tensor:
     return _node(np.maximum(a.data, 0.0), (a,), backward_fn)
 
 
+def softmax_values(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of an array, max-subtracted, as `softmax_rows` computes it."""
+    e = x - x.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
 def softmax_rows(a) -> Tensor:
     """Row-wise softmax, max-subtracted for stability."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = softmax_values(a.data)
 
     def backward_fn(out):
         g = out.grad
         _accumulate(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
 
     return _node(y, (a,), backward_fn)
+
+
+def dropout_mask(rng: RngStream, rows: int, cols: int, p: float) -> np.ndarray:
+    """One draw of inverted-dropout multipliers: 0 w.p. p, else 1/(1-p)."""
+    keep = rng.uniform(rows, cols) >= p
+    return keep / (1.0 - p)
 
 
 def dropout(a, p: float, mode: str, rng: RngStream) -> Tensor:
@@ -374,8 +408,7 @@ def dropout(a, p: float, mode: str, rng: RngStream) -> Tensor:
         raise ProbabilityError(f"dropout probability must be in [0, 1), got {p}")
     if mode == "eval" or p == 0.0:
         return a
-    keep = rng.uniform(a.rows, a.cols) >= p
-    mask = keep / (1.0 - p)
+    mask = dropout_mask(rng, a.rows, a.cols, p)
 
     def backward_fn(out):
         _accumulate(a, out.grad * mask)
@@ -487,10 +520,7 @@ def gather_rows(a, idx) -> Tensor:
         raise ShapeError("gather_rows: indices must be distinct")
 
     def backward_fn(out):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[idx] += out.grad
+        accumulate_rows(a, idx, out.grad)
 
     return _node(a.data[idx], (a,), backward_fn)
 
@@ -616,6 +646,26 @@ def custom_op(data, parents, backward_fn) -> Tensor:
     return _node(data, tuple(parents), backward_fn)
 
 
+def multi_output_op(datas, parents, backward_fn) -> tuple:
+    """A fused operation with several outputs; returns one tensor per output.
+
+    `backward_fn(grads)` runs once, after every consumer of every output, with
+    each output's gradient (None where nothing reached it). The outputs hang
+    off one hidden node holding the parents, so the record has no cycle.
+    """
+    grads = [None] * len(datas)
+    core = _node(np.zeros((1, 1)), tuple(parents), lambda node: backward_fn(grads))
+
+    def hand_over(k):
+        def backward(out):
+            grads[k] = out.grad
+            core.grad = core.data
+
+        return backward
+
+    return tuple(_node(data, (core,), hand_over(k)) for k, data in enumerate(datas))
+
+
 # ---------------------------------------------------------------------------
 # Backward pass
 
@@ -658,27 +708,60 @@ def zero_grads(params) -> None:
         t.grad = None
 
 
+def _views(flat: np.ndarray, shapes) -> list:
+    views = []
+    lo = 0
+    for rows, cols in shapes:
+        views.append(flat[lo:lo + rows * cols].reshape(rows, cols))
+        lo += rows * cols
+    return views
+
+
+def pack(arrays):
+    """One new contiguous buffer holding 2-D `arrays` back to back, and a view
+    into it shaped like each array. Returns (buffer, views)."""
+    flat = np.concatenate([np.ravel(a) for a in arrays])
+    return flat, _views(flat, [a.shape for a in arrays])
+
+
+def flat_view(arrays) -> np.ndarray:
+    """The contiguous buffer that `arrays` fill back to back, as `pack` and
+    `gradients` lay them out; a single contiguous array is its own buffer."""
+    if len(arrays) == 1 and arrays[0].flags.c_contiguous:
+        return arrays[0].reshape(-1)
+    flat = arrays[0].base if arrays else np.zeros(0)
+    if (flat is None or flat.ndim != 1 or any(a.base is not flat for a in arrays)
+            or sum(a.size for a in arrays) != flat.size):
+        raise ShapeError("arrays do not fill one buffer back to back (see numerics.pack)")
+    return flat
+
+
 def gradients(loss: Tensor, params) -> dict:
     """Gradients of a scalar loss for every named parameter.
 
-    The arrays are the parameters' own `.grad` arrays, not copies; the next
-    `gradients` call or `zero_grads` detaches them. Parameters the record
-    never reaches get zero gradients.
+    Each `.grad` is a view into one new zeroed buffer laid out as `pack` lays
+    out arrays (0 + g is the bits of the g + 0.0 a first contribution stores),
+    and the returned arrays are those views; the next `gradients` call or
+    `zero_grads` detaches them. Unreached parameters get zero gradients.
     """
-    zero_grads(params)
+    tensors = list(params.values())
+    shapes = [t.data.shape for t in tensors]
+    for t, view in zip(tensors, _views(np.zeros(sum(r * c for r, c in shapes)), shapes)):
+        t.grad = view
     backward(loss)
-    return {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in params.items()
-    }
+    return {name: t.grad for name, t in params.items()}
 
 
 # ---------------------------------------------------------------------------
 # Optimizer and initialization
 
 
+ADAM_CHUNK = 32768  # elements per Adam pass: four float64 chunks stay in cache
+
+
 class AdamState:
-    """First/second-moment accumulators plus step counter for Adam."""
+    """First/second-moment accumulators plus step counter for Adam; the moments
+    are flat buffers made on the first step, `m` and `v` their views by name."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = float(beta1)
@@ -687,39 +770,58 @@ class AdamState:
         self.t = 0
         self.m = {}
         self.v = {}
+        self._flat = None   # (m, v, scratch, scratch) once the first step has sized them
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
     """One Adam update with bias correction, in place on params' data and on
-    the moment arrays in `state`."""
+    the moments in `state`.
+
+    Parameters and gradients must each fill one buffer (see `pack` and
+    `gradients`). The update runs `ADAM_CHUNK` elements at a time in
+    preallocated scratch, in the order of m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g^2, p -= lr (m / c1) / (sqrt(v / c2) + eps).
+    """
     if lr <= 0:
         raise HyperparameterError(f"learning rate must be positive, got {lr}")
+    for name, t in params.items():
+        if grads[name].shape != t.data.shape:
+            raise ShapeError(f"adam_step: gradient shape {grads[name].shape} != "
+                             f"parameter shape {t.data.shape} for {name!r}")
+    p = flat_view([t.data for t in params.values()])
+    g = flat_view([grads[name] for name in params])
+    if state._flat is None:
+        m, v = np.zeros(p.size), np.zeros(p.size)
+        shapes = [t.data.shape for t in params.values()]
+        state.m = dict(zip(params, _views(m, shapes)))
+        state.v = dict(zip(params, _views(v, shapes)))
+        chunk = min(ADAM_CHUNK, p.size)
+        state._flat = (m, v, np.empty(chunk), np.empty(chunk))
+    m, v, s1, s2 = state._flat
+    if m.size != p.size:
+        raise ShapeError(f"adam_step: {p.size} parameters for a state sized for {m.size}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ShapeError(f"adam_step: gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        # in place, in the order of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
-        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        denom = v / c2
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        step = m / c1
-        step *= lr
-        step /= denom
-        p.data -= step
+    for lo in range(0, p.size, ADAM_CHUNK):
+        hi = min(lo + ADAM_CHUNK, p.size)
+        gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]
+        a, b = s1[:hi - lo], s2[:hi - lo]
+        mc *= b1
+        np.multiply(gc, 1.0 - b1, out=a)
+        mc += a
+        vc *= b2
+        np.multiply(gc, gc, out=a)
+        a *= 1.0 - b2
+        vc += a
+        np.divide(vc, c2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(mc, c1, out=b)
+        b *= lr
+        b /= a
+        p[lo:hi] -= b
 
 
 def init_params(shape, rng: RngStream, kind: str = "weight") -> np.ndarray:

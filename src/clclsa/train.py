@@ -111,6 +111,10 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
     weights = _effective_weights(ds, train_config.weights)
     params = CLCLSAParams.init_random(model_config, train_config.seed)
     tensors = params.tensors()
+    # one buffer behind every parameter: Adam updates it a chunk at a time
+    _, views = nm.pack([t.data for t in tensors.values()])
+    for t, view in zip(tensors.values(), views):
+        t.data = view
     adam = AdamState()
     rngs = [RngStream(train_config.seed, f"dropout/view{i}")
             for i in range(model_config.num_views)]
@@ -141,7 +145,8 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
             except md.NumericError as exc:
                 raise TrainingAborted(exc.term, epoch, params, logs) from exc
             grads = gradients(total, tensors)
-            if not all(np.isfinite(g).all() for g in grads.values()):
+            # the gradients fill one buffer, so one check covers them all
+            if not np.isfinite(nm.flat_view(list(grads.values()))).all():
                 raise TrainingAborted("gradient", epoch, params, logs)
             adam_step(tensors, grads, adam, lr)
             # the step's batch-norm updates land only once its loss and gradients are finite

@@ -288,12 +288,64 @@ class TestUsageErrors:
         assert run(argv) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--set", "train.lr_decay_every=0"], "lr_decay_every must be >= 1"),
+        ("grid", ["--set", "grid.metric=auc"], "metric must be one of"),
+        ("train", ["--epochs", "0"], "epochs must be >= 1"),
+        ("train", ["--set", "model.dropout_p=1.5"], "dropout_p must be in [0, 1)"),
+        ("mask", ["--eta", "1.5"], "mask:"),
+    ], ids=["lr_decay_every", "grid_metric", "epochs", "dropout", "eta"])
+    def test_config_value_rejected_by_its_constructor(self, tmp_path, synth_dir, capsys,
+                                                      command, flags, message):
+        argv = [command, "--data", str(synth_dir), "--seed", "1",
+                "--out", str(tmp_path / "out"), *flags]
+        assert run(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", [["--config", "f.json"], ["--set", "a=1"]],
                              ids=["config", "set"])
     def test_eval_takes_no_config(self, tmp_path, synth_dir, capsys, flag):
         assert run(["eval", "--checkpoint", str(tmp_path / "ck.json"),
                     "--data", str(synth_dir), *flag]) == 1
         capsys.readouterr()
+
+
+class TestEvalCheckpointMatchesData:
+    def test_class_count_mismatch_is_usage_error(self, tmp_path, synth_dir, capsys):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(synth_dir), "--out", str(run_dir), *TRAIN_ARGS,
+                    "--set", "model.num_classes=4"]) == 0
+        capsys.readouterr()
+        code = run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(synth_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "classes 4" in err and "has 2" in err
+
+    def test_input_width_mismatch_is_usage_error(self, tmp_path, synth_dir, capsys):
+        other = tmp_path / "wide"
+        assert run(["synth", *SYNTH_ARGS[:6], "--dims", "6,6,7", *SYNTH_ARGS[8:],
+                    "--out", str(other)]) == 0
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(synth_dir), "--out", str(run_dir),
+                    *TRAIN_ARGS]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(other)]) == 1
+        assert "(6, 6, 6)" in capsys.readouterr().err
+
+    def test_metrics_beside_another_runs_manifest_rejected(self, tmp_path, synth_dir,
+                                                           capsys):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(synth_dir), "--out", str(run_dir),
+                    *TRAIN_ARGS]) == 0
+        before = (run_dir / "run_manifest.json").read_bytes()
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                    "--data", str(synth_dir), "--out", str(run_dir / "metrics.json")]) == 1
+        assert "train run" in capsys.readouterr().err
+        assert (run_dir / "run_manifest.json").read_bytes() == before
+        assert not (run_dir / "metrics.json").exists()
 
 
 class TestGridManifest:
@@ -314,12 +366,22 @@ class TestManifestEnvironment:
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = tmp_path / "train"
         assert run(["train", "--data", str(synth_dir), "--out", str(out), *TRAIN_ARGS]) == 0
-        for manifest_dir in (synth_dir, out):
+        metrics = tmp_path / "eval" / "metrics.json"
+        assert run(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                    "--data", str(synth_dir), "--out", str(metrics)]) == 0
+        eval_manifest = json.loads((metrics.parent / "run_manifest.json").read_text())
+        assert eval_manifest["command"] == "eval"
+        assert eval_manifest["artifacts"] == [str(metrics)]
+        assert str(out / "checkpoint.json") in eval_manifest["input_digests"]
+        for manifest_dir in (synth_dir, out, metrics.parent):
             env = json.loads((manifest_dir / "run_manifest.json").read_text())["environment"]
-            assert set(env) == {"python", "numpy", "blas", "thread_env"}
+            assert set(env) == {"python", "numpy", "blas", "thread_env", "platform",
+                                "usable_cpus"}
             assert env["numpy"] == np.__version__
             assert env["python"].count(".") == 2
             assert set(env["blas"]) == {"name", "version"}
             assert set(env["thread_env"]) == set(cli.THREAD_VARS) and len(cli.THREAD_VARS) == 6
+            assert env["platform"] and isinstance(env["platform"], str)
+            assert isinstance(env["usable_cpus"], int) and env["usable_cpus"] >= 1
         assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
         assert env["thread_env"]["MKL_NUM_THREADS"] is None

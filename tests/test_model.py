@@ -1,6 +1,7 @@
 """Model graph: gating, completion, losses, prediction, checkpoints."""
 
 import base64
+import contextlib
 import json
 import os
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from clclsa import cli
+from clclsa import data as dt
 from clclsa import model as md
 from clclsa import numerics as nm
 from tests.test_numerics import finite_difference, max_rel_error
@@ -45,8 +47,9 @@ def tiny_views(seed=7, n=5):
     return [rng.normal(size=(n, 6)) for _ in range(3)]
 
 
-# Op-by-op tape compositions of the fused nodes: the references that
-# `cross_predict` and `joint_distribution` must match bit for bit.
+# Op-by-op tape compositions of the fused nodes: the references that the
+# model's fused nodes must match bit for bit, in values, in every parent's
+# gradient and in the running statistics they stage.
 
 
 def tape_encode(z, view, params, mode, bn_stats):
@@ -78,6 +81,119 @@ def tape_cross_predict(z, source, target, params, mode, bn_stats=None):
 
 def tape_joint_distribution(z_i, z_k):
     return nm.unit_sum(nm.mean_outer(nm.softmax_rows(z_i), nm.softmax_rows(z_k)))
+
+
+def tape_forward_view(x, params, view, mode, rng=None):
+    p = params
+    x = nm.as_tensor(x)
+    fatt = nm.sigmoid(nm.affine(x, p[f"view{view}.fatt.W"], p[f"view{view}.fatt.b"]))
+    gated = nm.mul(x, fatt)
+    xhat = nm.relu(nm.affine(gated, p[f"view{view}.embed.W"], p[f"view{view}.embed.b"]))
+    if mode == "train" and params.config.dropout_p > 0.0:
+        xhat = nm.dropout(xhat, params.config.dropout_p, mode, rng)
+    matt = nm.sigmoid(nm.affine(xhat, p[f"view{view}.gate.W"], p[f"view{view}.gate.b"]))
+    zhat = nm.mul(xhat, matt)
+    yhat = nm.softmax_rows(nm.affine(zhat, p[f"view{view}.aux.W"], p[f"view{view}.aux.b"]))
+    return md.ViewForward(fatt=fatt, xhat=xhat, matt=matt, zhat=zhat, yhat=yhat)
+
+
+def tape_complete_missing(zhats, mask, params):
+    mask = np.asarray(mask, dtype=bool)
+    zhats = [nm.as_tensor(z) for z in zhats]
+    n, m = mask.shape
+    observed_counts = mask.sum(axis=1)
+    full = [nm.scatter_rows(z, np.flatnonzero(mask[:, i]), n) for i, z in enumerate(zhats)]
+    out = []
+    for i in range(m):
+        miss_rows = np.flatnonzero(~mask[:, i])
+        if miss_rows.size == 0 or params.config.completion == "zero":
+            out.append(full[i])
+            continue
+        acc = full[i]
+        for k in range(m):
+            sel = miss_rows[mask[miss_rows, k]]
+            if k == i or sel.size == 0:
+                continue
+            pred = tape_cross_predict(nm.gather_rows(full[k], sel), k, i, params, "eval")
+            acc = nm.add(acc, nm.scatter_rows(pred, sel, n))
+        inv = np.ones((n, 1))
+        inv[miss_rows, 0] = 1.0 / observed_counts[miss_rows]
+        out.append(nm.mul(acc, nm.constant(inv)))
+    return out, ~mask
+
+
+def tape_loss_auxiliary(matts, yhat_views, obs_indices, labels, reduction="mean",
+                        conf_targets=None):
+    labels = np.asarray(labels)
+    total = None
+    for i, (matt, yhat, obs) in enumerate(zip(matts, yhat_views, obs_indices)):
+        if len(obs) == 0:
+            continue
+        y_v = labels[obs].astype(np.intp)
+        if conf_targets is not None:
+            conf = np.asarray(conf_targets[i], dtype=np.float64).reshape(-1, 1)
+        else:
+            conf = yhat.data.max(axis=1, keepdims=True)
+        diff = nm.sub(matt, nm.constant(conf))
+        sq = nm.mul(diff, diff)
+        nll = nm.neg(nm.log(nm.clamp_min(nm.pick_per_row(yhat, y_v), md.LOG_FLOOR)))
+        per_subject = nm.add(sq, nll)
+        term = nm.mean_all(per_subject) if reduction == "mean" else nm.sum_all(per_subject)
+        total = term if total is None else nm.add(total, term)
+    return total if total is not None else nm.constant(0.0)
+
+
+def tape_loss_cross_omics(zhats, mask, params, mode="eval", reduction="sum", bn_stats=None):
+    mask = np.asarray(mask, dtype=bool)
+    zhats = [nm.as_tensor(z) for z in zhats]
+    total = None
+    for i in range(mask.shape[1]):
+        for k in range(mask.shape[1]):
+            joint = np.flatnonzero(mask[:, i] & mask[:, k])
+            if i == k or joint.size < 2:
+                continue
+            pred = tape_cross_predict(nm.gather_rows(zhats[k], joint), k, i, params, mode,
+                                      bn_stats)
+            diff = nm.sub(pred, nm.gather_rows(zhats[i], joint))
+            term = nm.sum_all(nm.mul(diff, diff))
+            if reduction == "mean":
+                term = nm.scale(term, 1.0 / joint.size)
+            total = term if total is None else nm.add(total, term)
+    return total if total is not None else nm.constant(0.0)
+
+
+def tape_loss_contrastive(zhats, mask, alpha):
+    mask = np.asarray(mask, dtype=bool)
+    zhats = [nm.as_tensor(z) for z in zhats]
+    total = None
+    for i in range(mask.shape[1]):
+        for k in range(i + 1, mask.shape[1]):
+            joint = np.flatnonzero(mask[:, i] & mask[:, k])
+            if joint.size < 2:
+                continue
+            p = tape_joint_distribution(nm.gather_rows(zhats[i], joint),
+                                        nm.gather_rows(zhats[k], joint))
+            term = nm.scale(md.loss_contrastive_pair(p, alpha), 2.0)
+            total = term if total is None else nm.add(total, term)
+    return total if total is not None else nm.constant(0.0)
+
+
+TAPE = {"forward_view": tape_forward_view, "complete_missing": tape_complete_missing,
+        "loss_auxiliary": tape_loss_auxiliary, "loss_cross_omics": tape_loss_cross_omics,
+        "loss_contrastive": tape_loss_contrastive}
+
+
+@contextlib.contextmanager
+def taped():
+    """`build_objective` on the op-by-op references instead of the fused nodes."""
+    fused = {name: getattr(md, name) for name in TAPE}
+    for name, reference in TAPE.items():
+        setattr(md, name, reference)
+    try:
+        yield
+    finally:
+        for name, function in fused.items():
+            setattr(md, name, function)
 
 
 class TestModelConfig:
@@ -501,38 +617,263 @@ def small_problems(draw):
     return config, mask, draw(st.integers(0, 2 ** 16))
 
 
-def objective_bits(config, mask, seed, tape):
-    """Total, breakdown, staged statistics and every gradient of a train-mode step."""
+ALL_ZERO_WEIGHT_COMBINATIONS = [md.LossWeights(al, co, cl, 9.0)
+                                for al in (0.0, 0.1) for co in (0.0, 1.0) for cl in (0.0, 0.01)]
+
+
+def objective_bits(config, mask, seed, tape, weights=md.LossWeights(0.1, 1.0, 0.01, 9.0),
+                   reduction="mean", mode="train"):
+    """Total, breakdown, staged statistics and every gradient of one step."""
     rng = np.random.default_rng(seed)
     views = [rng.normal(size=(mask.shape[0], d)) for d in config.input_dims]
     labels = rng.integers(0, config.num_classes, size=mask.shape[0])
     params = jittered(md.CLCLSAParams.init_random(config, seed))
     rngs = [nm.RngStream(seed, f"dropout/view{i}") for i in range(config.num_views)]
-    fused = md.cross_predict, md.joint_distribution
-    if tape:
-        md.cross_predict, md.joint_distribution = tape_cross_predict, tape_joint_distribution
-    try:
+    with taped() if tape else contextlib.nullcontext():
         total, breakdown, cache = md.build_objective(
-            views, mask, labels, params, md.LossWeights(0.1, 1.0, 0.01, 9.0), mode="train",
-            rngs=rngs)
+            views, mask, labels, params, weights, mode=mode, rngs=rngs, reduction=reduction)
         grads = nm.gradients(total, params.tensors())
-    finally:
-        md.cross_predict, md.joint_distribution = fused
     stats = [a for state in cache.bn_states.values()
              for a in (state.running_mean, state.running_var)]
-    return [np.array(astuple(breakdown)), cache.yhat.data, *stats, *grads.values()]
+    latents = [z.data for z in cache.zhat_full + cache.zhat_obs + cache.matt + cache.yhat_view]
+    return [total.data, np.array(astuple(breakdown)), cache.yhat.data, *latents, *stats,
+            *grads.values()]
+
+
+def assert_all_same_bits(fused, tape):
+    assert len(fused) == len(tape)
+    for index, (a, b) in enumerate(zip(fused, tape)):
+        assert same_bits(a, b), index
 
 
 class TestFusedNodesProperty:
-    @given(small_problems())
-    def test_objective_matches_tape_bitwise(self, problem):
-        """Any shapes and any mask: same loss terms, statistics and gradients."""
+    @given(small_problems(), st.sampled_from(ALL_ZERO_WEIGHT_COMBINATIONS),
+           st.sampled_from(["mean", "sum"]))
+    def test_objective_matches_tape_bitwise(self, problem, weights, reduction):
+        """Any shapes, any mask, any term switched off, either reduction: same
+        loss terms, latents, statistics and gradients as the op-by-op record."""
         config, mask, seed = problem
-        fused = objective_bits(config, mask, seed, tape=False)
-        tape = objective_bits(config, mask, seed, tape=True)
-        assert len(fused) == len(tape)
-        for a, b in zip(fused, tape):
-            assert same_bits(a, b)
+        assert_all_same_bits(objective_bits(config, mask, seed, False, weights, reduction),
+                             objective_bits(config, mask, seed, True, weights, reduction))
+
+
+DROPOUT_TINY = md.ModelConfig(3, (6, 6, 6), (4, 4, 4), 3, ae_hidden=(4, 3), dropout_p=0.3)
+# view 2 observed for everyone (its latent is its own completion); subject 3
+# has one source view, subject 0 two
+MASK_ONE_FULL_VIEW = np.array([
+    [1, 0, 1],
+    [0, 1, 1],
+    [1, 1, 1],
+    [0, 0, 1],
+    [1, 0, 1],
+], dtype=bool)
+
+
+def weighted_sum(tensors, seed=70):
+    """A scalar that reads every entry of every tensor with its own weight."""
+    rng = np.random.default_rng(seed)
+    total = None
+    for t in tensors:
+        term = nm.sum_all(nm.mul(t, nm.constant(rng.normal(size=t.shape))))
+        total = term if total is None else nm.add(total, term)
+    return total
+
+
+class TestFusedNodesMatchTape:
+    """Each fused node against its op-by-op reference: value, every parent's
+    gradient and the running statistics, bit for bit."""
+
+    VIEW_OUTPUTS = [("zhat", "matt", "yhat"), ("zhat",), ("matt",), ("yhat",), ("zhat", "yhat")]
+
+    def _view_block(self, forward_view, mode, consumed):
+        params = jittered(md.CLCLSAParams.init_random(DROPOUT_TINY, 3))
+        x = nm.parameter(np.random.default_rng(60).normal(size=(5, 6)), "x")
+        vf = forward_view(x, params, 1, mode, nm.RngStream(5, "dropout/view1"))
+        grads = nm.gradients(weighted_sum([getattr(vf, name) for name in consumed]),
+                             dict(params.tensors(), x=x))
+        return [getattr(vf, name).data for name in ("fatt", "xhat", "matt", "zhat", "yhat")] \
+            + list(grads.values())
+
+    @pytest.mark.parametrize("consumed", VIEW_OUTPUTS, ids="+".join)
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_view_block(self, mode, consumed):
+        assert_all_same_bits(self._view_block(md.forward_view, mode, consumed),
+                             self._view_block(tape_forward_view, mode, consumed))
+
+    def _auxiliary(self, loss_auxiliary, reduction, targets):
+        rng = np.random.default_rng(61)
+        labels = rng.integers(0, 3, size=6)
+        obs = [np.array([0, 1, 3, 4]), np.array([], dtype=np.intp), np.array([1, 2, 5])]
+        matts = [nm.parameter(rng.uniform(0.1, 0.9, size=(len(o), 1)), f"m{i}")
+                 for i, o in enumerate(obs)]
+        raw = [nm.softmax_values(3.0 * rng.normal(size=(len(o), 3))) for o in obs]
+        raw[0][2, labels[3]] = 1e-14   # below the log floor: the clamp passes no gradient
+        yhats = [nm.parameter(y, f"y{i}") for i, y in enumerate(raw)]
+        conf = [rng.uniform(0.2, 1.0, size=len(o)) for o in obs] if targets else None
+        value = loss_auxiliary(matts, yhats, obs, labels, reduction, conf)
+        named = {t.name: t for t in matts + yhats}
+        return [value.data, *nm.gradients(value, named).values()]
+
+    @pytest.mark.parametrize("targets", [False, True], ids=["max", "given"])
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    def test_auxiliary(self, reduction, targets):
+        assert_all_same_bits(self._auxiliary(md.loss_auxiliary, reduction, targets),
+                             self._auxiliary(tape_loss_auxiliary, reduction, targets))
+
+    def _completion(self, complete_missing, mask):
+        params = stirred_stats(jittered(tiny_params()))
+        rng = np.random.default_rng(62)
+        zs = [nm.parameter(rng.normal(size=(int(mask[:, i].sum()), 4)), f"z{i}")
+              for i in range(3)]
+        out, provenance = complete_missing(zs, mask, params)
+        # the latents are read twice downstream and directly, as the aux heads do,
+        # so their gradients add several contributions in the record's order
+        loss = nm.add(nm.add(weighted_sum(out), weighted_sum(out, seed=71)),
+                      weighted_sum(zs, seed=72))
+        grads = nm.gradients(loss, dict(params.tensors(), **{z.name: z for z in zs}))
+        stats = [a for state in params.bn_states.values()
+                 for a in (state.running_mean, state.running_var)]
+        return [provenance, *(o.data for o in out), *grads.values(), *stats]
+
+    @pytest.mark.parametrize("mask", [MASK_MIXED, MASK_ONE_FULL_VIEW], ids=["mixed", "full"])
+    def test_completion(self, mask):
+        assert_all_same_bits(self._completion(md.complete_missing, mask),
+                             self._completion(tape_complete_missing, mask))
+
+    def _cross_omics(self, loss_cross_omics, mode, reduction):
+        params = stirred_stats(jittered(tiny_params()))
+        stats = {name: state.copy() for name, state in params.bn_states.items()}
+        rng = np.random.default_rng(63)
+        zs = [nm.parameter(rng.normal(size=(5, 4)), f"z{i}") for i in range(3)]
+        value = loss_cross_omics(zs, MASK_MIXED, params, mode, reduction, stats)
+        grads = nm.gradients(nm.scale(value, 0.7), dict(params.tensors(),
+                                                       **{z.name: z for z in zs}))
+        staged = [a for state in stats.values() for a in (state.running_mean, state.running_var)]
+        return [value.data, *grads.values(), *staged]
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_cross_omics(self, mode, reduction):
+        assert_all_same_bits(self._cross_omics(md.loss_cross_omics, mode, reduction),
+                             self._cross_omics(tape_loss_cross_omics, mode, reduction))
+
+    def _contrastive(self, loss_contrastive, mask):
+        rng = np.random.default_rng(64)
+        zs = [nm.parameter(rng.normal(size=(mask.shape[0], 4)), f"z{i}") for i in range(3)]
+        value = loss_contrastive(zs, mask, 9.0)
+        return [value.data, *nm.gradients(value, {z.name: z for z in zs}).values()]
+
+    @pytest.mark.parametrize("mask", [MASK_MIXED, MASK_ONE_FULL_VIEW], ids=["mixed", "skip"])
+    def test_contrastive(self, mask):
+        assert_all_same_bits(self._contrastive(md.loss_contrastive, mask),
+                             self._contrastive(tape_loss_contrastive, mask))
+
+    @pytest.mark.parametrize("weights", ALL_ZERO_WEIGHT_COMBINATIONS,
+                             ids=lambda w: f"{w.lambda_al}-{w.lambda_co}-{w.lambda_cl}")
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_objective(self, mode, reduction, weights):
+        args = (DROPOUT_TINY, MASK_ONE_FULL_VIEW, 5)
+        assert_all_same_bits(objective_bits(*args, False, weights, reduction, mode),
+                             objective_bits(*args, True, weights, reduction, mode))
+
+
+class TestFusedNodesFiniteDifferences:
+    """The acceptance-1 check (central differences, h=1e-5, relative error
+    below 1e-4) on each fused node on its own."""
+
+    def _check(self, build, named):
+        analytic = nm.gradients(build(), named)
+        assert max_rel_error(analytic, finite_difference(build, named)) < 1e-4
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_view_block(self, mode):
+        params = jittered(md.CLCLSAParams.init_random(DROPOUT_TINY, 3))
+        x = nm.parameter(np.random.default_rng(65).normal(size=(5, 6)), "x")
+        named = {name: t for name, t in params.tensors().items() if name.startswith("view1.")
+                 and not name.startswith(("view1.enc", "view1.dec"))}
+        named["x"] = x
+
+        def build():
+            # the same dropout draw on every evaluation
+            vf = md.forward_view(x, params, 1, mode, nm.RngStream(5, "dropout/view1"))
+            return weighted_sum([vf.zhat, vf.matt, vf.yhat])
+
+        self._check(build, named)
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    def test_auxiliary(self, reduction):
+        rng = np.random.default_rng(66)
+        obs = [np.array([0, 2, 3]), np.array([1, 2, 3, 4])]
+        labels = rng.integers(0, 3, size=5)
+        named = {}
+        for i, o in enumerate(obs):
+            named[f"m{i}"] = nm.parameter(rng.uniform(0.1, 0.9, size=(len(o), 1)), f"m{i}")
+            named[f"y{i}"] = nm.parameter(rng.uniform(0.2, 1.0, size=(len(o), 3)), f"y{i}")
+        conf = [rng.uniform(0.3, 1.0, size=len(o)) for o in obs]
+
+        def build():
+            return md.loss_auxiliary([named["m0"], named["m1"]], [named["y0"], named["y1"]],
+                                     obs, labels, reduction, conf)
+
+        self._check(build, named)
+
+    def test_completion(self):
+        params = stirred_stats(jittered(tiny_params()))
+        rng = np.random.default_rng(67)
+        zs = [nm.parameter(rng.normal(size=(int(MASK_ONE_FULL_VIEW[:, i].sum()), 4)), f"z{i}")
+              for i in range(3)]
+        named = {name: t for name, t in params.tensors().items()
+                 if name.startswith(("view2.enc", "view0.dec", "view1.dec"))}
+        named.update({z.name: z for z in zs})
+
+        def build():
+            out, _ = md.complete_missing(zs, MASK_ONE_FULL_VIEW, params)
+            return weighted_sum(out)
+
+        self._check(build, named)
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_cross_omics(self, mode, reduction):
+        params = stirred_stats(jittered(tiny_params()))
+        rng = np.random.default_rng(68)
+        zs = [nm.parameter(rng.normal(size=(5, 4)), f"z{i}") for i in range(3)]
+        named = {name: t for name, t in params.tensors().items()
+                 if name.startswith(("view0.enc", "view2.dec"))}
+        named.update({z.name: z for z in zs})
+
+        def build():
+            # fresh statistics each call: train mode must not feed its updates back
+            stats = {name: state.copy() for name, state in params.bn_states.items()}
+            return md.loss_cross_omics(zs, MASK_MIXED, params, mode, reduction, stats)
+
+        self._check(build, named)
+
+
+class TestTapeNodeCount:
+    def test_desk_step_builds_at_most_60_interior_nodes(self):
+        """A desk-scale step (3 views of 20 features, eta 0.4, every term on)
+        keeps its fused nodes. The fully op-by-op record of the same step has
+        272 nodes, and 167 with only the translator and the joint
+        distribution fused."""
+        spec = dt.SyntheticSpec(n_subjects=280, n_views=3, view_dims=(20, 20, 20),
+                                class_count=3, shared_dim=36, snr=5.0, class_sep=0.7, seed=1)
+        ds = dt.apply_missingness(dt.minmax_scaled(dt.synth_generate(spec)),
+                                  dt.MissingnessSpec(0.4, 2))
+        config = md.ModelConfig(3, (20, 20, 20), (16, 16, 16), 3, ae_hidden=(16, 8),
+                                dropout_p=0.1)
+        counts = []
+        for tape in (False, True):
+            params = md.CLCLSAParams.init_random(config, 0)
+            rngs = [nm.RngStream(0, f"dropout/view{i}") for i in range(3)]
+            with taped() if tape else contextlib.nullcontext():
+                total, _, _ = md.build_objective(ds.views, ds.mask, ds.labels, params,
+                                                 md.LossWeights(0.01, 0.1, 0.01, 9.0),
+                                                 rngs=rngs)
+            counts.append(len(nm._topo_order(total)))
+        assert counts[0] <= 60
+        assert counts[1] == 272
 
 
 class TestCompletionProperty:

@@ -259,6 +259,18 @@ class TestComputeOnlyWhatIsConsumed:
         assert grads["w"] is w.grad
         np.testing.assert_array_equal(grads["unused"], np.zeros((1, 2)))
 
+    def test_gradients_fill_one_zeroed_buffer(self):
+        w = nm.parameter(np.ones((2, 3)), "w")
+        unused = nm.parameter(np.ones((1, 2)), "unused")
+        b = nm.parameter(np.ones((1, 3)), "b")
+        grads = nm.gradients(nm.sum_all(nm.mul(nm.add(w, b), w)),
+                             {"w": w, "unused": unused, "b": b})
+        flat = nm.flat_view(list(grads.values()))
+        assert flat.shape == (11,)
+        np.testing.assert_array_equal(flat, np.concatenate([g.ravel() for g in grads.values()]))
+        flat[:] = 7.0  # views, not copies
+        assert (grads["b"] == 7.0).all()
+
 
 class TestGatherRows:
     def test_duplicate_indices_rejected(self):
@@ -409,6 +421,42 @@ class TestAdam:
             ref_p -= 0.01 * (ref_m / c1) / (np.sqrt(ref_v / c2) + st.eps)
             for got, want in ((p.data, ref_p), (st.m["p"], ref_m), (st.v["p"], ref_v)):
                 assert got.tobytes() == want.tobytes()
+
+    def test_chunked_flat_update_matches_per_tensor_reference(self):
+        """Three chunks, the last one partial: the same bits as updating each
+        tensor on its own with whole-tensor temporaries."""
+        rng = np.random.default_rng(17)
+        shapes = [(300, 200), (1, 200), (17, 13), (1, 1), (64, 129)]
+        assert 2 * nm.ADAM_CHUNK < sum(r * c for r, c in shapes) < 3 * nm.ADAM_CHUNK
+        _, views = nm.pack([rng.normal(size=s) for s in shapes])
+        params = {f"p{i}": nm.parameter(v, f"p{i}") for i, v in enumerate(views)}
+        ref_p = {name: t.data.copy() for name, t in params.items()}
+        ref_m = {name: np.zeros(t.data.shape) for name, t in params.items()}
+        ref_v = {name: np.zeros(t.data.shape) for name, t in params.items()}
+        st = nm.AdamState()
+        for t in range(1, 5):
+            _, grad_views = nm.pack([rng.normal(size=s) * 10.0 ** rng.integers(-8, 3)
+                                     for s in shapes])
+            grads = dict(zip(params, grad_views))
+            nm.adam_step(params, grads, st, lr=0.01)
+            c1, c2 = 1.0 - st.beta1 ** t, 1.0 - st.beta2 ** t
+            for name, g in grads.items():
+                m, v = ref_m[name], ref_v[name]
+                m *= st.beta1
+                m += (1.0 - st.beta1) * g
+                v *= st.beta2
+                v += (1.0 - st.beta2) * (g * g)
+                ref_p[name] -= 0.01 * (m / c1) / (np.sqrt(v / c2) + st.eps)
+            for name, p in params.items():
+                assert p.data.tobytes() == ref_p[name].tobytes(), name
+                assert st.m[name].tobytes() == ref_m[name].tobytes(), name
+                assert st.v[name].tobytes() == ref_v[name].tobytes(), name
+
+    def test_parameters_outside_one_buffer_rejected(self):
+        params = {"a": nm.parameter(np.ones((2, 2)), "a"), "b": nm.parameter(np.ones((1, 2)), "b")}
+        grads = nm.gradients(nm.add(nm.sum_all(params["a"]), nm.sum_all(params["b"])), params)
+        with pytest.raises(nm.ShapeError, match="one buffer"):
+            nm.adam_step(params, grads, nm.AdamState(), lr=0.01)
 
     def test_invalid_lr(self):
         with pytest.raises(nm.HyperparameterError):

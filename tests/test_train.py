@@ -261,7 +261,7 @@ class TestGridSearch:
         monkeypatch.setattr(tr, "train", raising_stub("train"))
         code = cli.dispatch(["grid", "--data", str(tmp_path / "data"), "--seed", "1",
                              "--out", str(tmp_path / "out"), "--set", "grid.metric=auc"])
-        assert code == 2
+        assert code == 1
         assert "metric must be one of" in capsys.readouterr().err
 
     def test_tie_rule_picks_smallest_triple(self):
