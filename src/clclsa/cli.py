@@ -5,10 +5,10 @@ subcommand except eval accepts --config FILE (JSON) with individual flags
 taking precedence (and --set section.key=value for any leaf field), and
 writes a manifest recording the resolved configuration, seeds, input
 digests, artifact paths, the environment (Python, numpy, BLAS and the BLAS
-thread variables, platform, usable CPUs), and duration; eval writes one
-beside its metrics file when given --out. Stochastic subcommands require an
-explicit --seed; re-running the same command line reproduces every emitted
-number bitwise in single-thread mode.
+thread variables, platform, usable CPUs, git revision), and duration; eval
+writes one beside its metrics file when given --out. Stochastic subcommands
+require an explicit --seed; re-running the same command line reproduces
+every emitted number bitwise in single-thread mode.
 
 Exit codes: 0 success, 1 usage error (including an unknown config section or
 key, a config value its constructor rejects, a malformed flag value, --etas
@@ -159,9 +159,37 @@ def _usable_cpus():
         return os.cpu_count()
 
 
+# the checkout this package runs from, when it runs from one (<root>/src/clclsa)
+SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def _git_revision(root):
+    """The commit checked out at `root`, read from its `.git` directory
+    without running git; None outside a checkout."""
+    git = os.path.join(root, ".git")
+
+    def read(name):
+        with open(os.path.join(git, name)) as fh:
+            return fh.read().strip()
+
+    try:
+        head = read("HEAD")
+        if not head.startswith("ref: "):
+            return head  # a detached HEAD holds the commit itself
+        ref = head[len("ref: "):]
+        if os.path.isfile(os.path.join(git, ref)):
+            return read(ref)
+        for line in read("packed-refs").splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return None
+
+
 def _environment():
-    """Python, numpy and BLAS versions, the BLAS thread variables, the platform
-    and the CPUs this process may run on."""
+    """Python, numpy and BLAS versions, the BLAS thread variables, the platform,
+    the CPUs this process may run on and the git revision of the source."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy before 1.25 only prints its build configuration
@@ -174,6 +202,7 @@ def _environment():
         "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
         "platform": platform.platform(),
         "usable_cpus": _usable_cpus(),
+        "git_revision": _git_revision(SOURCE_ROOT),
     }
 
 

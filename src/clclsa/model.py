@@ -263,26 +263,24 @@ def _plus(a, b):
     return b if a is None else a + b
 
 
-def forward_view(x, params: CLCLSAParams, view: int, mode: str,
-                 rng: Optional[RngStream] = None) -> ViewForward:
-    """Gate, embed, and classify one view's features.
+VIEW_WEIGHTS = ("fatt.W", "fatt.b", "embed.W", "embed.b", "gate.W", "gate.b")
 
-    One node with outputs `zhat`, `matt` and `yhat` that does the arithmetic
-    of the op-by-op chain (sigmoid(affine), mul, affine, ReLU, dropout drawn
-    as `numerics.dropout` draws it, sigmoid(affine), mul, softmax(affine)).
-    `fatt` and `xhat` come back as constants.
+
+def _view_latent(xd, params: CLCLSAParams, view: int, mode: str,
+                 rng: Optional[RngStream] = None):
+    """The view block on an array of view `view`'s features: feature gate,
+    embedding, ReLU, dropout (train mode only, drawn as `numerics.dropout`
+    draws it), view gate and gated latent. Returns zhat, matt and the arrays
+    `forward_view`'s backward reuses: (fatt, gated, a2, xhat, keep).
     """
-    x = as_tensor(x)
     cfg = params.config
-    if x.cols != cfg.input_dims[view]:
+    if xd.shape[1] != cfg.input_dims[view]:
         raise nm.ShapeError(
-            f"view {view} expects {cfg.input_dims[view]} features, got {x.cols}")
-    fw, fb, ew, eb, gw, gb, aw, ab = (params[f"view{view}.{name}"] for name in (
-        "fatt.W", "fatt.b", "embed.W", "embed.b", "gate.W", "gate.b", "aux.W", "aux.b"))
-    xd = x.data
-    fatt = nm.sigmoid_values(xd @ fw.data + fb.data)
+            f"view {view} expects {cfg.input_dims[view]} features, got {xd.shape[1]}")
+    fw, fb, ew, eb, gw, gb = (params[f"view{view}.{name}"].data for name in VIEW_WEIGHTS)
+    fatt = nm.sigmoid_values(xd @ fw + fb)
     gated = xd * fatt
-    a2 = gated @ ew.data + eb.data
+    a2 = gated @ ew + eb
     xhat = np.maximum(a2, 0.0)
     keep = None
     if mode == "train" and cfg.dropout_p > 0.0:
@@ -290,9 +288,32 @@ def forward_view(x, params: CLCLSAParams, view: int, mode: str,
             raise ValueError("forward_view needs an RngStream in train mode with dropout")
         keep = nm.dropout_mask(rng, *xhat.shape, cfg.dropout_p)
         xhat *= keep
-    matt = nm.sigmoid_values(xhat @ gw.data + gb.data)
-    zhat = xhat * matt
-    yhat = nm.softmax_values(zhat @ aw.data + ab.data)
+    matt = nm.sigmoid_values(xhat @ gw + gb)
+    return xhat * matt, matt, (fatt, gated, a2, xhat, keep)
+
+
+def _softmax_head(x, w: Tensor, b: Tensor) -> np.ndarray:
+    """softmax(x @ W + b) on an array: a view's auxiliary head, and the
+    classifier in `predict` (`forward_full` records the classifier as
+    `softmax_rows(affine(...))`, the same arithmetic)."""
+    return nm.softmax_values(x @ w.data + b.data)
+
+
+def forward_view(x, params: CLCLSAParams, view: int, mode: str,
+                 rng: Optional[RngStream] = None) -> ViewForward:
+    """Gate, embed, and classify one view's features.
+
+    One node with outputs `zhat`, `matt` and `yhat` over `_view_latent` and
+    the auxiliary head, which do the arithmetic of the op-by-op chain
+    (sigmoid(affine), mul, affine, ReLU, dropout, sigmoid(affine), mul,
+    softmax(affine)). `fatt` and `xhat` come back as constants.
+    """
+    x = as_tensor(x)
+    fw, fb, ew, eb, gw, gb, aw, ab = (params[f"view{view}.{name}"]
+                                      for name in VIEW_WEIGHTS + ("aux.W", "aux.b"))
+    xd = x.data
+    zhat, matt, (fatt, gated, a2, xhat, keep) = _view_latent(xd, params, view, mode, rng)
+    yhat = _softmax_head(zhat, aw, ab)
 
     def backward_fn(grads):
         gz, gm, gy = grads
@@ -470,41 +491,73 @@ def cross_predict(z, source: int, target: int, params: CLCLSAParams, mode: str,
     return nm.custom_op(out, (z, *weights), backward_fn)
 
 
-def _complete_view(full, target: int, miss_rows, mask, observed_counts,
-                   params: CLCLSAParams) -> Tensor:
-    """View `target`'s completed latent as one node over `full`, every view's
-    latents scattered to all subjects: the arithmetic of
-    (+ scatter(translate(gather)))* -> times the reciprocal source count,
-    with the backward taking the sources in descending order, as the op-by-op
-    record's reverse order does.
+def _complete_values(full, target: int, miss_rows, mask, observed_counts,
+                     params: CLCLSAParams):
+    """View `target`'s completed latent on arrays, from `full`, every view's
+    latents scattered to all subjects: `full[target]` plus the eval-mode
+    translation of each observed source at the missing rows, times the
+    reciprocal source count there. Returns the completed latent, the row
+    weights and, per source view in view order, (view index, rows,
+    translator weights, translator backward).
     """
     # adding scatter(pred) adds 0.0 to the rows outside sel: one + 0.0 covers them all
-    acc = full[target].data + 0.0
+    acc = full[target] + 0.0
     sources = []
-    parents = [full[target]]
     for k, source in enumerate(full):
         sel = miss_rows[mask[miss_rows, k]]
         if k == target or sel.size == 0:
             continue
-        pred, weights, back = _translate(source.data[sel], k, target, params, "eval",
+        pred, weights, back = _translate(source[sel], k, target, params, "eval",
                                          params.bn_states)
         acc[sel] += pred
-        sources.append((source, sel, back))
-        parents += [source, *weights]
+        sources.append((k, sel, weights, back))
     # observed rows keep weight 1; missing rows average their sources
     inv = np.ones((acc.shape[0], 1))
     inv[miss_rows, 0] = 1.0 / observed_counts[miss_rows]
     acc *= inv
+    return acc, inv, sources
+
+
+def _complete_view(full, target: int, miss_rows, mask, observed_counts,
+                   params: CLCLSAParams) -> Tensor:
+    """`_complete_values` as one node over the scattered latents `full`: the
+    arithmetic of (+ scatter(translate(gather)))* -> times the reciprocal
+    source count, with the backward taking the sources in descending order,
+    as the op-by-op record's reverse order does.
+    """
+    acc, inv, sources = _complete_values([z.data for z in full], target, miss_rows, mask,
+                                         observed_counts, params)
+    parents = [full[target]]
+    for k, _, weights, _ in sources:
+        parents += [full[k], *weights]
 
     def backward_fn(out):
         g = out.grad * inv
-        for source, sel, back in reversed(sources):
-            g_source = back(g[sel], source.requires_grad)
+        for k, sel, _, back in reversed(sources):
+            g_source = back(g[sel], full[k].requires_grad)
             if g_source is not None:
-                nm.accumulate_rows(source, sel, g_source)
+                nm.accumulate_rows(full[k], sel, g_source)
         nm.accumulate_grad(full[target], g)
 
     return nm.custom_op(acc, parents, backward_fn)
+
+
+def _observed_counts(mask) -> np.ndarray:
+    """Observed views per subject; raises SubjectError for a subject with none."""
+    observed_counts = mask.sum(axis=1)
+    if np.any(observed_counts == 0):
+        bad = int(np.flatnonzero(observed_counts == 0)[0])
+        raise SubjectError(f"subject {bad} has no observed view")
+    return observed_counts
+
+
+def _completion_targets(mask, config: ModelConfig):
+    """(view, its missing rows) for each view whose missing rows the
+    completion policy fills; none under the "zero" policy."""
+    if config.completion == "zero":
+        return []
+    targets = ((i, np.flatnonzero(~mask[:, i])) for i in range(mask.shape[1]))
+    return [(i, rows) for i, rows in targets if rows.size]
 
 
 def complete_missing(zhats, mask, params: CLCLSAParams):
@@ -529,18 +582,11 @@ def complete_missing(zhats, mask, params: CLCLSAParams):
     n, m = mask.shape
     if len(zhats) != m:
         raise nm.ShapeError(f"complete_missing: {len(zhats)} latents for {m} mask columns")
-    observed_counts = mask.sum(axis=1)
-    if np.any(observed_counts == 0):
-        bad = int(np.flatnonzero(observed_counts == 0)[0])
-        raise SubjectError(f"subject {bad} has no observed view")
+    observed_counts = _observed_counts(mask)
     full = [scatter_rows(z, np.flatnonzero(mask[:, i]), n) for i, z in enumerate(zhats)]
-    out = []
-    for i in range(m):
-        miss_rows = np.flatnonzero(~mask[:, i])
-        if miss_rows.size == 0 or params.config.completion == "zero":
-            out.append(full[i])
-        else:
-            out.append(_complete_view(full, i, miss_rows, mask, observed_counts, params))
+    out = list(full)
+    for i, miss_rows in _completion_targets(mask, params.config):
+        out[i] = _complete_view(full, i, miss_rows, mask, observed_counts, params)
     return out, ~mask
 
 
@@ -568,21 +614,38 @@ class ForwardCache:
     bn_states: Optional[dict] = None
 
 
+def _check_inputs(views, mask, config: ModelConfig):
+    """The views as float64 arrays and the mask as a bool array, once they fit
+    `config` and each other: a 2-D mask with a column per view, and a 2-D
+    view with a row per mask row for each view."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise nm.ShapeError(f"the mask must be 2-D (subjects x views), got shape {mask.shape}")
+    n, m = mask.shape
+    if len(views) != m or m != config.num_views:
+        raise nm.ShapeError(f"expected {config.num_views} views, got {len(views)} views "
+                            f"and {m} mask columns")
+    arrays = []
+    for i, view in enumerate(views):
+        x = np.asarray(view, dtype=np.float64)
+        if x.ndim != 2:
+            raise nm.ShapeError(f"view {i} must be 2-D (subjects x features), got shape {x.shape}")
+        if x.shape[0] != n:
+            raise nm.ShapeError(f"view {i} has {x.shape[0]} rows but the mask has {n}")
+        arrays.append(x)
+    return arrays, mask
+
+
 def forward_full(views, mask, params: CLCLSAParams, mode: str, rngs=None) -> ForwardCache:
     """Run every view, complete missing latents, fuse, and classify."""
-    mask = np.asarray(mask, dtype=bool)
-    m = mask.shape[1]
-    cfg = params.config
-    if len(views) != m or m != cfg.num_views:
-        raise nm.ShapeError(f"expected {cfg.num_views} views, got {len(views)}")
+    views, mask = _check_inputs(views, mask, params.config)
     per_view = []
     obs_indices = []
-    for i in range(m):
+    for i, x in enumerate(views):
         obs = np.flatnonzero(mask[:, i])
         obs_indices.append(obs)
-        x = constant(np.asarray(views[i], dtype=np.float64)[obs])
         rng = rngs[i] if rngs is not None else None
-        per_view.append(forward_view(x, params, i, mode, rng))
+        per_view.append(forward_view(constant(x[obs]), params, i, mode, rng))
     zhat_full, provenance = complete_missing([vf.zhat for vf in per_view], mask, params)
     fused = fuse(zhat_full)
     yhat = softmax_rows(affine(fused, params["classifier.W"], params["classifier.b"]))
@@ -905,16 +968,38 @@ def predict(views, mask, params: CLCLSAParams):
     """Class probabilities and argmax labels in eval mode (deterministic).
 
     Missing views are completed first; argmax ties resolve to the lowest
-    class index.
+    class index. The values are `forward_full(..., "eval").yhat` bit for bit:
+    this runs the same array kernels (`_view_latent`, `scatter_values`,
+    `_complete_values`, `_softmax_head`) with the same checks, but builds no
+    tape node and skips the per-view auxiliary heads.
     """
-    cache = forward_full(views, mask, params, mode="eval")
-    yhat = cache.yhat.data
+    views, mask = _check_inputs(views, mask, params.config)
+    n = mask.shape[0]
+    full = []
+    for i, x in enumerate(views):
+        obs = np.flatnonzero(mask[:, i])
+        full.append(nm.scatter_values(_view_latent(x[obs], params, i, "eval")[0], obs, n))
+    observed_counts = _observed_counts(mask)
+    completed = list(full)
+    for i, miss_rows in _completion_targets(mask, params.config):
+        completed[i] = _complete_values(full, i, miss_rows, mask, observed_counts, params)[0]
+    yhat = _softmax_head(np.concatenate(completed, axis=1), params["classifier.W"],
+                         params["classifier.b"])
     return yhat, np.argmax(yhat, axis=1)
 
 
 def latent_variances(cache: ForwardCache) -> list:
-    """Mean per-coordinate variance of each view's completed latent (collapse monitor)."""
-    return [float(z.data.var(axis=0).mean()) for z in cache.zhat_full]
+    """Mean per-coordinate variance of each view's completed latent (collapse
+    monitor), by the steps of numpy's `z.var(axis=0).mean()` without its
+    Python wrappers."""
+    out = []
+    for z in cache.zhat_full:
+        n = z.data.shape[0]
+        centred = z.data - z.data.sum(axis=0, keepdims=True) / n
+        centred *= centred
+        var = centred.sum(axis=0) / n
+        out.append(float(var.sum() / var.size))
+    return out
 
 
 # ---------------------------------------------------------------------------

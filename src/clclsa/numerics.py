@@ -525,6 +525,14 @@ def gather_rows(a, idx) -> Tensor:
     return _node(a.data[idx], (a,), backward_fn)
 
 
+def scatter_values(src: np.ndarray, idx, n_rows: int) -> np.ndarray:
+    """An otherwise-zero (n_rows, cols) array holding src's rows at positions idx,
+    as `scatter_rows` computes it."""
+    out = np.zeros((n_rows, src.shape[1]))
+    out[idx] = src
+    return out
+
+
 def scatter_rows(src, idx, n_rows: int) -> Tensor:
     """Place src's rows at positions idx of an otherwise-zero (n_rows, cols) tensor."""
     src = as_tensor(src)
@@ -533,8 +541,7 @@ def scatter_rows(src, idx, n_rows: int) -> Tensor:
         raise ShapeError(f"scatter_rows: {idx.size} indices for {src.rows} rows")
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
         raise ShapeError(f"scatter_rows: index out of range for {n_rows} rows")
-    out_data = np.zeros((n_rows, src.cols))
-    out_data[idx] = src.data
+    out_data = scatter_values(src.data, idx, n_rows)
 
     def backward_fn(out):
         _accumulate(src, out.grad[idx])

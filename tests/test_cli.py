@@ -376,7 +376,8 @@ class TestManifestEnvironment:
         for manifest_dir in (synth_dir, out, metrics.parent):
             env = json.loads((manifest_dir / "run_manifest.json").read_text())["environment"]
             assert set(env) == {"python", "numpy", "blas", "thread_env", "platform",
-                                "usable_cpus"}
+                                "usable_cpus", "git_revision"}
+            assert env["git_revision"] == cli._git_revision(cli.SOURCE_ROOT)
             assert env["numpy"] == np.__version__
             assert env["python"].count(".") == 2
             assert set(env["blas"]) == {"name", "version"}
@@ -385,3 +386,42 @@ class TestManifestEnvironment:
             assert isinstance(env["usable_cpus"], int) and env["usable_cpus"] >= 1
         assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
         assert env["thread_env"]["MKL_NUM_THREADS"] is None
+
+
+class TestGitRevision:
+    SHA = "0123456789abcdef0123456789abcdef01234567"
+
+    def _checkout(self, root, head):
+        (root / ".git" / "refs" / "heads").mkdir(parents=True)
+        (root / ".git" / "HEAD").write_text(head + "\n")
+        return root / ".git"
+
+    def test_branch_ref(self, tmp_path):
+        git = self._checkout(tmp_path, "ref: refs/heads/main")
+        (git / "refs" / "heads" / "main").write_text(self.SHA + "\n")
+        assert cli._git_revision(tmp_path) == self.SHA
+
+    def test_packed_ref(self, tmp_path):
+        git = self._checkout(tmp_path, "ref: refs/heads/main")
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{'f' * 40} refs/heads/other\n{self.SHA} refs/heads/main\n")
+        assert cli._git_revision(tmp_path) == self.SHA
+
+    def test_detached_head(self, tmp_path):
+        self._checkout(tmp_path, self.SHA)
+        assert cli._git_revision(tmp_path) == self.SHA
+
+    def test_outside_a_checkout_is_none(self, tmp_path):
+        assert cli._git_revision(tmp_path) is None
+
+    def test_unborn_branch_is_none(self, tmp_path):
+        self._checkout(tmp_path, "ref: refs/heads/main")
+        assert cli._git_revision(tmp_path) is None
+
+    def test_this_checkout(self):
+        """Run from a git checkout, the manifest names a full commit id."""
+        if not os.path.isdir(os.path.join(cli.SOURCE_ROOT, ".git")):
+            pytest.skip("the package does not run from a git checkout")
+        revision = cli._git_revision(cli.SOURCE_ROOT)
+        assert len(revision) == 40 and set(revision) <= set("0123456789abcdef")

@@ -5,8 +5,9 @@ import contextlib
 import json
 import os
 import tempfile
+import types
 import warnings
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -1222,6 +1223,103 @@ class TestPredict:
         params = tiny_params()
         cache = md.forward_full(tiny_views(), MASK_MIXED, params, mode="eval")
         np.testing.assert_array_equal(cache.provenance, ~MASK_MIXED)
+
+    def test_builds_no_tape_node(self, monkeypatch):
+        """`predict` runs the array kernels alone: no node, fused or primitive,
+        and no tensor of any kind is made."""
+        params = stirred_stats(jittered(tiny_params()))
+        views = tiny_views()
+        expected = md.forward_full(views, MASK_MIXED, params, "eval").yhat.data
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("predict built a tape node")
+
+        for name in ("_node", "custom_op", "multi_output_op"):
+            monkeypatch.setattr(nm, name, refuse)
+        monkeypatch.setattr(nm.Tensor, "__init__", refuse)
+        probs, labels = md.predict(views, MASK_MIXED, params)
+        assert same_bits(probs, expected)
+        np.testing.assert_array_equal(labels, np.argmax(expected, axis=1))
+
+    @given(small_problems(), st.sampled_from(["cross", "zero"]))
+    def test_matches_eval_forward_bitwise(self, problem, completion):
+        """Any widths, subject count, valid mask and completion policy: the
+        probabilities and labels of `forward_full(..., "eval")`, bit for bit,
+        also for each subject predicted alone. A lone subject gets its row of
+        the batch call to rounding: a one-row product may take another BLAS
+        kernel than a many-row one, as it does in `forward_full`."""
+        config, mask, seed = problem
+        config = md.ModelConfig(**{**asdict(config), "completion": completion})
+        params = stirred_stats(jittered(md.CLCLSAParams.init_random(config, seed)))
+        rng = np.random.default_rng(seed)
+        views = [rng.normal(size=(mask.shape[0], d)) for d in config.input_dims]
+        expected = md.forward_full(views, mask, params, "eval").yhat.data
+        probs, labels = md.predict(views, mask, params)
+        assert same_bits(probs, expected)
+        np.testing.assert_array_equal(labels, np.argmax(expected, axis=1))
+        for j in range(mask.shape[0]):
+            views_j, mask_j = [v[j:j + 1] for v in views], mask[j:j + 1]
+            row, label = md.predict(views_j, mask_j, params)
+            assert same_bits(row, md.forward_full(views_j, mask_j, params, "eval").yhat.data)
+            np.testing.assert_allclose(row, probs[j:j + 1], rtol=0, atol=1e-12)
+            assert label.tolist() == [labels[j]]
+
+
+BOTH_FORWARDS = [
+    pytest.param(lambda views, mask, params: md.forward_full(views, mask, params, "eval"),
+                 id="forward_full"),
+    pytest.param(md.predict, id="predict"),
+]
+
+
+@pytest.mark.parametrize("forward", BOTH_FORWARDS)
+class TestInputChecks:
+    """`forward_full` and `predict` reject the same inputs with the same errors."""
+
+    def test_view_with_more_rows_than_mask(self, forward):
+        views = tiny_views(n=6)
+        with pytest.raises(nm.ShapeError, match="view 0 has 6 rows but the mask has 5"):
+            forward(views, MASK_MIXED, tiny_params())
+
+    def test_view_with_fewer_rows_than_mask(self, forward):
+        views = tiny_views()
+        views[2] = views[2][:4]
+        with pytest.raises(nm.ShapeError, match="view 2 has 4 rows but the mask has 5"):
+            forward(views, MASK_MIXED, tiny_params())
+
+    def test_one_dimensional_mask(self, forward):
+        views = [v[:1] for v in tiny_views()]
+        with pytest.raises(nm.ShapeError, match=r"mask must be 2-D.*\(3,\)"):
+            forward(views, MASK_MIXED[0], tiny_params())
+
+    def test_view_count(self, forward):
+        with pytest.raises(nm.ShapeError, match="expected 3 views, got 2"):
+            forward(tiny_views()[:2], MASK_MIXED[:, :2], tiny_params())
+
+    def test_feature_width(self, forward):
+        views = tiny_views()
+        views[1] = views[1][:, :5]
+        with pytest.raises(nm.ShapeError, match="view 1 expects 6 features, got 5"):
+            forward(views, MASK_MIXED, tiny_params())
+
+    def test_subject_without_observed_view(self, forward):
+        mask = MASK_MIXED.copy()
+        mask[3] = False
+        with pytest.raises(md.SubjectError, match="subject 3"):
+            forward(tiny_views(), mask, tiny_params())
+
+
+class TestLatentVariances:
+    @given(st.integers(1, 30), st.integers(1, 12), st.integers(0, 2 ** 16))
+    def test_keeps_numpy_var_mean_bits(self, n, d, seed):
+        """The logged collapse monitor is `float(z.var(axis=0).mean())` bit for bit."""
+        rng = np.random.default_rng(seed)
+        zs = [rng.normal(loc=rng.normal(scale=100.0), scale=rng.uniform(1e-3, 10.0),
+                         size=(n, d)) for _ in range(3)]
+        cache = types.SimpleNamespace(zhat_full=[nm.constant(z) for z in zs])
+        got = md.latent_variances(cache)
+        assert [type(v) for v in got] == [float] * 3
+        assert same_bits(got, [float(z.var(axis=0).mean()) for z in zs])
 
 
 class TestCheckpoint:
