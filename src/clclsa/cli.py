@@ -1,19 +1,22 @@
 """Command-line entry point.
 
 Subcommands: synth, mask, train, eval, sweep, grid, ablate, surface. Every
-subcommand except eval accepts --config FILE (JSON) with individual flags
-taking precedence (and --set section.key=value for any leaf field), and
-writes a manifest recording the resolved configuration, seeds, input
-digests, artifact paths, the environment (Python, numpy, BLAS and the BLAS
-thread variables, platform, usable CPUs, git revision), and duration; eval
-writes one beside its metrics file when given --out. Stochastic subcommands
+subcommand except eval accepts --config FILE (JSON) and --set
+section.key=value for any leaf field; a flag such as --epochs, --lambda-al or
+--eta sets its own leaf (train.epochs, train.weights.lambda_al, mask.eta) and
+takes precedence over both. Each writes a manifest recording the resolved
+configuration, seeds, input digests, artifact paths, the environment
+(Python, numpy, BLAS and the BLAS thread variables, platform, usable CPUs,
+git revision), and duration; eval writes one beside its metrics file when
+given --out. Stochastic subcommands
 require an explicit --seed; re-running the same command line reproduces
 every emitted number bitwise in single-thread mode.
 
 Exit codes: 0 success, 1 usage error (including an unknown config section or
 key, a config value its constructor rejects, a malformed flag value, --etas
-out of ascending order, or a checkpoint whose views, widths or classes do not
-match the evaluated data), 2 runtime/numeric failure.
+out of ascending order, a missing rate outside [0, 1] or a negative loss
+weight given to a runner, or a model or checkpoint whose views, widths or
+classes do not match the data), 2 runtime/numeric failure.
 """
 
 from __future__ import annotations
@@ -67,6 +70,16 @@ def _load_config(path):
     return doc
 
 
+def _set_leaf(config, key, value):
+    node = config
+    *sections, leaf = key.split(".")
+    for part in sections:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise UsageError(f"config key {key}: {part} is not a section")
+    node[leaf] = value
+
+
 def _apply_sets(config, assignments):
     for item in assignments or []:
         if "=" not in item:
@@ -76,13 +89,7 @@ def _apply_sets(config, assignments):
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise UsageError(f"--set {key}: {part} is not a section")
-        node[parts[-1]] = value
+        _set_leaf(config, key, value)
     return config
 
 
@@ -125,16 +132,7 @@ def _model_config(config, args, ds):
 
 def _train_config(config, args):
     section = _section(config, "train")
-    for flag in ("epochs", "initial_lr", "lr_schedule", "batch_size", "reduction"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            section[flag] = value
-    weights = _section(section, "weights")
-    for key in ("lambda_al", "lambda_co", "lambda_cl", "alpha"):
-        value = getattr(args, key, None)
-        if value is not None:
-            weights[key] = value
-    section["weights"] = _build(md.LossWeights, weights, "train.weights")
+    section["weights"] = _build(md.LossWeights, _section(section, "weights"), "train.weights")
     section["seed"] = args.seed if args.seed is not None else section.get("seed", 0)
     return _build(tr.TrainConfig, section, "train")
 
@@ -240,10 +238,25 @@ def _out_dir(args):
     return args.out
 
 
+def _check_model_fits(config, ds):
+    for what, want, got in (("views", config.num_views, ds.n_views),
+                            ("input widths", config.input_dims, ds.view_dims),
+                            ("classes", config.num_classes, ds.class_count)):
+        if want != got:
+            raise UsageError(f"the model has {what} {want}, the data has {got}")
+
+
+def _check_etas(etas):
+    """Reject, before any training, a missing rate `data.MissingnessSpec` rejects."""
+    for eta in etas:
+        _build(dt.MissingnessSpec, {"eta": eta, "seed": 0}, "missing rate")
+
+
 def _setup(args, config):
     """Dataset, model and train configs, and the resolved config of a training command."""
     ds = dt.load_dataset_dir(args.data, scale=args.scale)
     model_config, model_section = _model_config(config, args, ds)
+    _check_model_fits(model_config, ds)
     train_config = _train_config(config, args)
     return ds, model_config, train_config, {"model": model_section,
                                             "train": asdict(train_config)}
@@ -294,12 +307,6 @@ def _assignment(convert):
 def _cmd_synth(args, config):
     started = time.time()
     section = _section(config, "synth")
-    for flag, key in (("n", "n_subjects"), ("views", "n_views"), ("classes", "class_count"),
-                      ("snr", "snr"), ("sep", "class_sep"), ("shared_dim", "shared_dim"),
-                      ("dims", "view_dims")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            section[key] = value
     section["seed"] = args.seed
     section.setdefault("n_views", 3)
     section.setdefault("view_dims", [20] * section["n_views"])
@@ -319,16 +326,13 @@ def _cmd_mask(args, config):
     section = _section(config, "mask")
     _check_keys(section, {"eta", "policy"}, "mask.")
     ds = dt.load_dataset_dir(args.data)
-    eta = args.eta if args.eta is not None else section.get("eta")
-    if eta is None:
+    if section.get("eta") is None:
         raise UsageError("mask needs --eta")
-    policy = args.policy or section.get("policy", "uniform")
-    spec = _build(dt.MissingnessSpec, {"eta": eta, "seed": args.seed, "policy": policy},
-                  "mask")
+    spec = _build(dt.MissingnessSpec, {**section, "seed": args.seed}, "mask")
     masked = dt.apply_missingness(ds, spec)
     out = _out_dir(args)
-    dt.write_dataset(masked, out, manifest_extra={
-        "missingness": {"eta": eta, "seed": args.seed, "policy": policy}})
+    dt.write_dataset(masked, out, manifest_extra={"missingness": asdict(spec)})
+    eta, policy = spec.eta, spec.policy
     _write_manifest(out, "mask", {"mask": {"eta": eta, "policy": policy}}, [args.seed],
                     _dataset_inputs(args.data), [os.path.join(out, "mask.csv")], started)
     print(f"wrote masked dataset (eta={eta}, realized {masked.missing_rate():.4f}) to {out}")
@@ -375,15 +379,6 @@ def _cmd_train(args, config):
     return 0
 
 
-def _check_checkpoint_fits(config, ds):
-    for what, want, got in (("views", config.num_views, ds.n_views),
-                            ("input widths", config.input_dims, ds.view_dims),
-                            ("classes", config.num_classes, ds.class_count)):
-        if want != got:
-            raise UsageError(f"the checkpoint's model has {what} {want}, "
-                             f"the data has {got}")
-
-
 def _cmd_eval(args, config):
     started = time.time()
     out_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else None
@@ -397,7 +392,7 @@ def _cmd_eval(args, config):
                                  "write the metrics to another directory")
     ds = dt.load_dataset_dir(args.data, scale=args.scale)
     params = md.load_checkpoint(args.checkpoint)
-    _check_checkpoint_fits(params.config, ds)
+    _check_model_fits(params.config, ds)
     yhat, pred = md.predict(ds.views, ds.mask, params)
     report = ev.compute_report(yhat, ds.labels, ds.class_count,
                                metadata={"checkpoint": args.checkpoint, "data": args.data})
@@ -417,6 +412,7 @@ def _cmd_eval(args, config):
 
 def _cmd_sweep(args, config):
     started = time.time()
+    _check_etas(args.etas)
     ds, model_config, train_config, resolved = _setup(args, config)
     seeds = args.seeds or [args.seed]
     result = ev.missing_rate_sweep(ds, model_config, train_config, args.etas, seeds,
@@ -461,6 +457,8 @@ def _cmd_grid(args, config):
 
 def _cmd_ablate(args, config):
     started = time.time()
+    _check_etas(args.etas)
+    _build(md.LossWeights, {"lambda_co": args.lambda_co_fixed}, "--lambda-co-fixed")
     ds, model_config, train_config, resolved = _setup(args, config)
     spec = ev.AblationSpec(etas=tuple(args.etas), seeds=tuple(args.seeds or [args.seed]),
                            lambda_co=args.lambda_co_fixed)
@@ -477,6 +475,14 @@ def _cmd_ablate(args, config):
 
 def _cmd_surface(args, config):
     started = time.time()
+    names = [name for name, _ in [args.fix, *args.vary]]
+    if sorted(names) != sorted(ev.SURFACE_WEIGHTS):
+        raise UsageError(f"surface needs one --fix and two --vary naming each of "
+                         f"{', '.join(ev.SURFACE_WEIGHTS)} once, got {', '.join(names)}")
+    for name, values in [(args.fix[0], [args.fix[1]]), *args.vary]:
+        for value in values:
+            _build(md.LossWeights, {name: value}, "surface")
+    _check_etas([args.eta])
     ds, model_config, train_config, resolved = _setup(args, config)
     fixed = dict([args.fix])
     grids = dict(args.vary)
@@ -515,31 +521,32 @@ def _build_parser():
     def training_flags(p):
         p.add_argument("--preset", choices=sorted(md.PRESETS),
                        help="published architecture preset")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--initial-lr", dest="initial_lr", type=float)
-        p.add_argument("--lr-schedule", dest="lr_schedule", choices=["step", "constant"])
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--reduction", choices=["mean", "sum"])
-        p.add_argument("--lambda-al", dest="lambda_al", type=float)
-        p.add_argument("--lambda-co", dest="lambda_co", type=float)
-        p.add_argument("--lambda-cl", dest="lambda_cl", type=float)
-        p.add_argument("--alpha", type=float)
+        p.add_argument("--epochs", dest="train.epochs", type=int)
+        p.add_argument("--initial-lr", dest="train.initial_lr", type=float)
+        p.add_argument("--lr-schedule", dest="train.lr_schedule", choices=["step", "constant"])
+        p.add_argument("--batch-size", dest="train.batch_size", type=int)
+        p.add_argument("--reduction", dest="train.reduction", choices=["mean", "sum"])
+        p.add_argument("--lambda-al", dest="train.weights.lambda_al", type=float)
+        p.add_argument("--lambda-co", dest="train.weights.lambda_co", type=float)
+        p.add_argument("--lambda-cl", dest="train.weights.lambda_cl", type=float)
+        p.add_argument("--alpha", dest="train.weights.alpha", type=float)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p, data=False)
-    p.add_argument("--n", type=int)
-    p.add_argument("--views", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dims", type=int_list, help="comma-separated per-view dims")
-    p.add_argument("--shared-dim", dest="shared_dim", type=int)
-    p.add_argument("--snr", type=float)
-    p.add_argument("--sep", type=float)
+    p.add_argument("--n", dest="synth.n_subjects", type=int)
+    p.add_argument("--views", dest="synth.n_views", type=int)
+    p.add_argument("--classes", dest="synth.class_count", type=int)
+    p.add_argument("--dims", dest="synth.view_dims", type=int_list,
+                   help="comma-separated per-view dims")
+    p.add_argument("--shared-dim", dest="synth.shared_dim", type=int)
+    p.add_argument("--snr", dest="synth.snr", type=float)
+    p.add_argument("--sep", dest="synth.class_sep", type=float)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("mask", help="apply simulated missingness")
     common(p)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--policy")
+    p.add_argument("--eta", dest="mask.eta", type=float)
+    p.add_argument("--policy", dest="mask.policy")
     p.set_defaults(func=_cmd_mask)
 
     p = sub.add_parser("train", help="train a model")
@@ -600,10 +607,11 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
         if args.command in STOCHASTIC and args.seed is None:
             raise UsageError(f"clclsa {args.command}: --seed is required")
-        if getattr(args, "vary", None) is not None and len(args.vary) != 2:
-            raise UsageError("surface needs exactly two --vary grids")
         config = _apply_sets(_load_config(getattr(args, "config", None)),
                              getattr(args, "set", None))
+        for dest, value in vars(args).items():  # a config flag's dest is its leaf
+            if "." in dest and value is not None:
+                _set_leaf(config, dest, value)
         _check_keys(config, SECTIONS)
         return args.func(args, config)
     except UsageError as exc:

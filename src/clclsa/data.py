@@ -323,7 +323,7 @@ class MissingnessSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must be in [0, 1]")
+            raise ValueError(f"eta must be in [0, 1], got {self.eta}")
 
 
 def _parse_drop_policy(policy, m):
@@ -455,7 +455,6 @@ def synth_generate(spec: SyntheticSpec) -> MultiOmicsDataset:
 class SplitSpec:
     train_fraction: float = 0.7
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -463,59 +462,39 @@ class SplitSpec:
 
 
 def _stratified_train_counts(labels, class_count, fraction):
-    """Largest-remainder allocation of round(fraction*N) across classes."""
+    """Largest-remainder allocation of round(fraction*N) across classes: each
+    class gets the floor of its share, and the classes with the largest
+    remainders one more each. The floors sum to at most floor(fraction*N), so
+    none is taken back, and no more classes than have a nonzero remainder
+    get one, so none exceeds its size."""
     counts = np.bincount(labels, minlength=class_count)
-    total_train = int(round(fraction * labels.size))
     exact = fraction * counts
     base = np.floor(exact).astype(int)
-    base = np.minimum(base, counts)
-    remaining = total_train - base.sum()
-    if remaining > 0:
-        order = np.argsort(-(exact - base), kind="stable")
-        for c in order:
-            if remaining == 0:
-                break
-            if base[c] < counts[c]:
-                base[c] += 1
-                remaining -= 1
-    elif remaining < 0:
-        order = np.argsort(exact - base, kind="stable")
-        for c in order:
-            if remaining == 0:
-                break
-            if base[c] > 0:
-                base[c] -= 1
-                remaining += 1
+    remaining = int(round(fraction * labels.size)) - base.sum()
+    base[np.argsort(-(exact - base), kind="stable")[:remaining]] += 1
     return base
 
 
 def split(ds: MultiOmicsDataset, spec: SplitSpec):
-    """Seeded (optionally class-stratified) partition into (train, test)."""
+    """Seeded class-stratified partition into (train, test)."""
     rng = RngStream(spec.seed, "split")
-    n = ds.n_subjects
-    if spec.stratified:
-        counts = np.bincount(ds.labels, minlength=ds.class_count)
-        present = np.flatnonzero(counts)
-        if np.any(counts[present] < 2):
-            bad = int(present[counts[present] < 2][0])
-            raise SplitError(f"class {bad} has fewer than 2 subjects; cannot stratify")
-        train_counts = _stratified_train_counts(ds.labels, ds.class_count, spec.train_fraction)
-        train_idx = []
-        test_idx = []
-        for c in range(ds.class_count):
-            members = np.flatnonzero(ds.labels == c)
-            if members.size == 0:
-                continue
-            order = members[rng.child(f"class{c}").permutation(members.size)]
-            train_idx.append(order[:train_counts[c]])
-            test_idx.append(order[train_counts[c]:])
-        train_idx = np.sort(np.concatenate(train_idx))
-        test_idx = np.sort(np.concatenate(test_idx))
-    else:
-        order = rng.permutation(n)
-        cut = int(round(spec.train_fraction * n))
-        train_idx = np.sort(order[:cut])
-        test_idx = np.sort(order[cut:])
+    counts = np.bincount(ds.labels, minlength=ds.class_count)
+    present = np.flatnonzero(counts)
+    if np.any(counts[present] < 2):
+        bad = int(present[counts[present] < 2][0])
+        raise SplitError(f"class {bad} has fewer than 2 subjects; cannot stratify")
+    train_counts = _stratified_train_counts(ds.labels, ds.class_count, spec.train_fraction)
+    train_idx = []
+    test_idx = []
+    for c in range(ds.class_count):
+        members = np.flatnonzero(ds.labels == c)
+        if members.size == 0:
+            continue
+        order = members[rng.child(f"class{c}").permutation(members.size)]
+        train_idx.append(order[:train_counts[c]])
+        test_idx.append(order[train_counts[c]:])
+    train_idx = np.sort(np.concatenate(train_idx))
+    test_idx = np.sort(np.concatenate(test_idx))
     if train_idx.size == 0 or test_idx.size == 0:
         raise SplitError("split left one side empty; adjust train_fraction")
     return ds.take(train_idx), ds.take(test_idx)

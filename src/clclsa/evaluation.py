@@ -53,6 +53,10 @@ def accuracy(pred, true) -> float:
 def confusion_matrix(pred, true, class_count: int) -> np.ndarray:
     """counts[i, j] = subjects with true class i predicted as class j."""
     pred, true = _as_labels(pred), _as_labels(true)
+    for name, labels in (("predicted", pred), ("true", true)):
+        outside = labels[(labels < 0) | (labels >= class_count)]
+        if outside.size:
+            raise ValueError(f"{name} label {outside[0]} is outside [0, {class_count})")
     counts = np.zeros((class_count, class_count), dtype=np.intp)
     np.add.at(counts, (true, pred), 1)
     return counts
@@ -316,6 +320,10 @@ def partial_omics_run(ds: MultiOmicsDataset, view_subsets, model_config: ModelCo
     return results
 
 
+# the loss weights a surface fixes one of and varies two of
+SURFACE_WEIGHTS = ("lambda_al", "lambda_co", "lambda_cl")
+
+
 def hyperparam_surface(ds: MultiOmicsDataset, model_config: ModelConfig,
                        train_config: tr.TrainConfig, fixed: dict, grids: dict,
                        eta: float, seeds, dataset_name: str = "dataset") -> list:
@@ -325,8 +333,7 @@ def hyperparam_surface(ds: MultiOmicsDataset, model_config: ModelConfig,
     three-panel analysis. All cells share each seed so differences are
     attributable to the weights alone.
     """
-    names = {"lambda_al", "lambda_co", "lambda_cl"}
-    if set(fixed) | set(grids) != names or len(fixed) != 1 or len(grids) != 2:
+    if set(fixed) | set(grids) != set(SURFACE_WEIGHTS) or len(fixed) != 1 or len(grids) != 2:
         raise ValueError("need exactly one fixed weight and two varying grids")
     (fixed_name, fixed_value), = fixed.items()
     (name_a, values_a), (name_b, values_b) = sorted(grids.items())
@@ -425,16 +432,14 @@ def _aggregate_records(rows) -> list:
     return records
 
 
-def emit_report(results, path, fmt: str = "csv", aggregates: bool = True):
+def emit_report(results, path, fmt: str = "csv"):
     """Write long-format trial rows (one per trial) plus aggregate rows.
 
     CSV columns are fixed; JSON mirrors the same records. Floats are written
     via repr so a parse reproduces them exactly.
     """
     rows = _rows_of(results)
-    records = [row.to_record() for row in rows]
-    if aggregates:
-        records.extend(_aggregate_records(rows))
+    records = [row.to_record() for row in rows] + _aggregate_records(rows)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -157,7 +157,7 @@ class LossWeights:
     def __post_init__(self):
         for name in ("lambda_al", "lambda_co", "lambda_cl", "alpha"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -274,9 +274,6 @@ def _view_latent(xd, params: CLCLSAParams, view: int, mode: str,
     `forward_view`'s backward reuses: (fatt, gated, a2, xhat, keep).
     """
     cfg = params.config
-    if xd.shape[1] != cfg.input_dims[view]:
-        raise nm.ShapeError(
-            f"view {view} expects {cfg.input_dims[view]} features, got {xd.shape[1]}")
     fw, fb, ew, eb, gw, gb = (params[f"view{view}.{name}"].data for name in VIEW_WEIGHTS)
     fatt = nm.sigmoid_values(xd @ fw + fb)
     gated = xd * fatt
@@ -356,19 +353,6 @@ def forward_view(x, params: CLCLSAParams, view: int, mode: str,
         (zhat, matt, yhat), (x, fw, fb, ew, eb, gw, gb, aw, ab), backward_fn)
     return ViewForward(fatt=constant(fatt), xhat=constant(xhat), matt=matt_t, zhat=zhat_t,
                        yhat=yhat_t)
-
-
-def fuse(zhats) -> Tensor:
-    """Concatenate per-view latents in view order."""
-    zhats = [as_tensor(z) for z in zhats]
-    n = zhats[0].rows
-    d = zhats[0].cols
-    for z in zhats[1:]:
-        if z.rows != n:
-            raise nm.ShapeError(f"fuse: row counts differ, {n} vs {z.rows}")
-        if z.cols != d:
-            raise nm.ShapeError(f"fuse: latent widths differ, {d} vs {z.cols}")
-    return concat_cols(zhats)
 
 
 def _bn_relu(x, w, b, gamma, beta, state, mode):
@@ -617,7 +601,8 @@ class ForwardCache:
 def _check_inputs(views, mask, config: ModelConfig):
     """The views as float64 arrays and the mask as a bool array, once they fit
     `config` and each other: a 2-D mask with a column per view, and a 2-D
-    view with a row per mask row for each view."""
+    view with a row per mask row and the configured feature width for each
+    view, observed or not."""
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise nm.ShapeError(f"the mask must be 2-D (subjects x views), got shape {mask.shape}")
@@ -632,6 +617,9 @@ def _check_inputs(views, mask, config: ModelConfig):
             raise nm.ShapeError(f"view {i} must be 2-D (subjects x features), got shape {x.shape}")
         if x.shape[0] != n:
             raise nm.ShapeError(f"view {i} has {x.shape[0]} rows but the mask has {n}")
+        if x.shape[1] != config.input_dims[i]:
+            raise nm.ShapeError(
+                f"view {i} expects {config.input_dims[i]} features, got {x.shape[1]}")
         arrays.append(x)
     return arrays, mask
 
@@ -647,7 +635,7 @@ def forward_full(views, mask, params: CLCLSAParams, mode: str, rngs=None) -> For
         rng = rngs[i] if rngs is not None else None
         per_view.append(forward_view(constant(x[obs]), params, i, mode, rng))
     zhat_full, provenance = complete_missing([vf.zhat for vf in per_view], mask, params)
-    fused = fuse(zhat_full)
+    fused = concat_cols(zhat_full)
     yhat = softmax_rows(affine(fused, params["classifier.W"], params["classifier.b"]))
     return ForwardCache(
         obs_idx=obs_indices,
@@ -971,14 +959,18 @@ def predict(views, mask, params: CLCLSAParams):
     class index. The values are `forward_full(..., "eval").yhat` bit for bit:
     this runs the same array kernels (`_view_latent`, `scatter_values`,
     `_complete_values`, `_softmax_head`) with the same checks, but builds no
-    tape node and skips the per-view auxiliary heads.
+    tape node and skips the per-view auxiliary heads, and the view block of a
+    view no subject in the call observes.
     """
     views, mask = _check_inputs(views, mask, params.config)
     n = mask.shape[0]
     full = []
     for i, x in enumerate(views):
         obs = np.flatnonzero(mask[:, i])
-        full.append(nm.scatter_values(_view_latent(x[obs], params, i, "eval")[0], obs, n))
+        if obs.size:
+            full.append(nm.scatter_values(_view_latent(x[obs], params, i, "eval")[0], obs, n))
+        else:  # the zeros scattering no rows gives, without running the view block
+            full.append(np.zeros((n, params.config.embed_dims[i])))
     observed_counts = _observed_counts(mask)
     completed = list(full)
     for i, miss_rows in _completion_targets(mask, params.config):

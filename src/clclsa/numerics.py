@@ -613,9 +613,7 @@ def clamp_min(a, floor: float) -> Tensor:
 def mean_outer(a, b) -> Tensor:
     """(1/N) sum_j outer(a_j, b_j), i.e. a^T b / N, contracted by BLAS.
 
-    Swapping the arguments gives the transpose only up to rounding;
-    `loss_contrastive` computes each unordered view pair once, with weight 2,
-    which equals the ordered-pair sum.
+    Swapping the arguments gives the transpose only up to rounding.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.rows != b.rows:

@@ -169,6 +169,7 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
 # ---------------------------------------------------------------------------
 # Grid search
 
+# `evaluation.MetricsReport` fields a grid can rank by
 SELECTION_METRICS = ("acc", "macro_f1", "weighted_f1")
 
 
@@ -187,6 +188,9 @@ class GridSpec:
             raise ValueError("candidate sets must be nonempty")
         if self.metric not in SELECTION_METRICS:
             raise ValueError(f"metric must be one of {SELECTION_METRICS}, got {self.metric!r}")
+        for name in ("lambda_al", "lambda_co", "lambda_cl"):
+            for value in getattr(self, f"{name}_values"):
+                LossWeights(**{name: value})  # rejects a negative candidate
 
 
 @dataclass
@@ -218,11 +222,12 @@ def grid_search(train_ds: MultiOmicsDataset, val_ds: Optional[MultiOmicsDataset]
     Ties break toward the smaller (lambda_cl, lambda_co, lambda_al) triple.
     Aborted trials are recorded as failed and excluded from the ranking.
     """
+    from . import evaluation as ev  # evaluation imports this module
+
     if val_ds is None:
         train_ds, val_ds = split(
             train_ds, SplitSpec(train_fraction=1.0 - grid.val_fraction,
-                                seed=nm.derive_seed(base.seed, "grid-val"),
-                                stratified=True))
+                                seed=nm.derive_seed(base.seed, "grid-val")))
     co_values = grid.lambda_co_values
     if train_ds.is_complete():
         co_values = (0.0,)
@@ -238,19 +243,12 @@ def grid_search(train_ds: MultiOmicsDataset, val_ds: Optional[MultiOmicsDataset]
         except TrainingAborted as exc:
             trials.append(GridTrial(index, weights, None, "failed", str(exc)))
             continue
-        _, pred = md.predict(val_ds.views, val_ds.mask, params)
-        metric = _selection_metric(grid.metric, pred, val_ds)
+        yhat, _ = md.predict(val_ds.views, val_ds.mask, params)
+        report = ev.compute_report(yhat, val_ds.labels, val_ds.class_count)
+        metric = getattr(report, grid.metric)
         trials.append(GridTrial(index, weights, metric, "ok"))
     result = GridSearchResult(trials=trials, best=None)
     ranked = result.ranked()
     result.best = ranked[0] if ranked else None
     return result
 
-
-def _selection_metric(name: str, pred, ds: MultiOmicsDataset) -> float:
-    from . import evaluation as ev
-
-    if name == "acc":
-        return ev.accuracy(pred, ds.labels)
-    mode = "macro" if name == "macro_f1" else "weighted"
-    return ev.multiclass_f1(pred, ds.labels, ds.class_count, mode)

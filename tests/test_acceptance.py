@@ -251,6 +251,7 @@ class TestCriterion5MetricOracles:
                     f"balanced weighted-vs-macro {balanced_gap:.2e} (all < 1e-12)", elapsed)
 
 
+@pytest.mark.slow
 class TestCriterion6EndToEndLearnability:
     def test_complete_data_accuracy(self):
         """Complete data, 500 epochs, mean test accuracy over 5 seeds >= 0.95."""
@@ -273,6 +274,7 @@ class TestCriterion6EndToEndLearnability:
                     elapsed)
 
 
+@pytest.mark.slow
 class TestCriterion7CompletionBenefit:
     def test_completion_gap_and_missing_rate_trend(self):
         """At eta=0.5 cross-view completion beats the zero-fill completion
@@ -311,6 +313,7 @@ class TestCriterion7CompletionBenefit:
                     f"max upward step {max_step * 100:+.2f} points (<= 2)", elapsed)
 
 
+@pytest.mark.slow
 class TestCriterion8AblationTrend:
     def test_all_components_help(self):
         """ctst+aux is no worse than plain (within 1 point) at eta 0.2 and 0.4."""

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, manifests, reproducibility."""
 
+import csv
 import json
 import os
 import warnings
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from clclsa import cli
+from clclsa import train as tr
+from tests.test_train import raising_stub
 
 
 def run(argv):
@@ -53,6 +56,16 @@ class TestSynthTrainEval:
         header = (run_dir / "epochs.csv").read_text().splitlines()[0]
         assert header.split(",") == ["epoch", "l_clf", "l_al", "l_co", "l_cl",
                                      "total", "lr", "latent_variance", "train_acc"]
+
+    def test_eval_every_fills_train_acc_on_every_second_epoch(self, tmp_path, synth_dir):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(synth_dir), "--out", str(run_dir), *TRAIN_ARGS,
+                    "--set", "train.eval_every=2"]) == 0
+        with open(run_dir / "epochs.csv", newline="") as fh:
+            accs = [row["train_acc"] for row in csv.DictReader(fh)]
+        assert len(accs) == 8
+        assert accs[0::2] == [""] * 4
+        assert all(0.0 <= float(acc) <= 1.0 for acc in accs[1::2])
 
 
 class TestSeedContract:
@@ -130,6 +143,35 @@ class TestConfigPrecedence:
         assert resolved["train"]["initial_lr"] == 1e-3
         manifest = json.loads((run_dir / "run_manifest.json").read_text())
         assert manifest["resolved_config"]["train"]["epochs"] == 5
+
+    @pytest.mark.parametrize("command, flag, leaf, values", [
+        ("train", "--lambda-al", "train.weights.lambda_al", (0.3, 0.2, 0.1)),
+        ("synth", "--n", "synth.n_subjects", (50, 45, 40)),
+        ("mask", "--eta", "mask.eta", (0.3, 0.2, 0.1)),
+    ], ids=["train", "synth", "mask"])
+    def test_flag_beats_set_beats_config(self, tmp_path, synth_dir, command, flag, leaf,
+                                         values):
+        """A flag sets the config leaf it names, over --set, which is over --config."""
+        in_config, in_set, in_flag = values
+        doc = in_config
+        for part in reversed(leaf.split(".")):
+            doc = {part: doc}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        argv = [command, "--seed", "1", "--config", str(config)]
+        if command != "synth":
+            argv += ["--data", str(synth_dir)]
+        if command == "train":
+            argv += ["--epochs", "1", *TRAIN_ARGS[-6:]]
+        set_leaf = ["--set", f"{leaf}={in_set}"]
+        for tag, extra, want in (("config", [], in_config), ("set", set_leaf, in_set),
+                                 ("flag", [*set_leaf, flag, str(in_flag)], in_flag)):
+            out = tmp_path / tag
+            assert run([*argv, "--out", str(out), *extra]) == 0
+            resolved = json.loads((out / "run_manifest.json").read_text())["resolved_config"]
+            for part in leaf.split("."):
+                resolved = resolved[part]
+            assert resolved == want, tag
 
     def test_set_overrides_leaf(self, tmp_path, synth_dir):
         run_dir = tmp_path / "run"
@@ -311,11 +353,54 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+SURFACE_AXES = ["--fix", "lambda_al=0.1", "--vary", "lambda_co=0.1", "--vary", "lambda_cl=0.1"]
+
+
+class TestRunValuesRejectedBeforeTraining:
+    @pytest.mark.parametrize("flags, offending", [
+        (["sweep", "--seeds", "0,1", "--etas", "0.0,0.2,0.4,1.5"], "1.5"),
+        (["ablate", "--etas", "0.2,1.5"], "1.5"),
+        (["grid", "--set", "grid.lambda_cl_values=[0.0,0.1,-1]"], "-1"),
+        (["ablate", "--lambda-co-fixed", "-1"], "-1"),
+        (["surface", "--eta", "1.5", *SURFACE_AXES], "1.5"),
+        (["surface", "--eta", "0.2", "--fix", "lambda_al=-0.5", *SURFACE_AXES[2:]], "-0.5"),
+        (["surface", "--eta", "0.2", *SURFACE_AXES[:4], "--vary", "lambda_cl=0.1,-2"], "-2"),
+        (["surface", "--eta", "0.2", "--fix", "lambda_xx=0.1", *SURFACE_AXES[2:]],
+         "lambda_xx"),
+        (["surface", "--eta", "0.2", *SURFACE_AXES[:4], "--vary", "lambda_co=0.2"],
+         "lambda_al, lambda_co, lambda_co"),
+    ], ids=["sweep_eta", "ablate_eta", "grid_weight", "ablate_weight", "surface_eta",
+            "surface_fix_weight", "surface_vary_weight", "surface_fix_name",
+            "surface_vary_twice"])
+    def test_exit_one_before_any_training(self, tmp_path, synth_dir, capsys, monkeypatch,
+                                          flags, offending):
+        monkeypatch.setattr(tr, "train", raising_stub("train"))
+        out = tmp_path / "out"
+        assert run([*flags, "--data", str(synth_dir), "--seed", "1", "--out", str(out)]) == 1
+        assert offending in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["train"], ["sweep", "--etas", "0.2"], ["grid"], ["ablate"],
+        ["surface", "--eta", "0.2", *SURFACE_AXES],
+    ], ids=["train", "sweep", "grid", "ablate", "surface"])
+    def test_model_must_fit_the_data(self, tmp_path, synth_dir, capsys, monkeypatch, flags):
+        monkeypatch.setattr(tr, "train", raising_stub("train"))
+        out = tmp_path / "out"
+        assert run([*flags, "--data", str(synth_dir), "--seed", "1", "--out", str(out),
+                    "--set", "model.num_classes=4"]) == 1
+        err = capsys.readouterr().err
+        assert "classes 4" in err and "has 2" in err
+        assert not out.exists()
+
+
 class TestEvalCheckpointMatchesData:
     def test_class_count_mismatch_is_usage_error(self, tmp_path, synth_dir, capsys):
+        four = tmp_path / "four"
+        assert run(["synth", *SYNTH_ARGS[:4], "--classes", "4", *SYNTH_ARGS[6:],
+                    "--out", str(four)]) == 0
         run_dir = tmp_path / "run"
-        assert run(["train", "--data", str(synth_dir), "--out", str(run_dir), *TRAIN_ARGS,
-                    "--set", "model.num_classes=4"]) == 0
+        assert run(["train", "--data", str(four), "--out", str(run_dir), *TRAIN_ARGS]) == 0
         capsys.readouterr()
         code = run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
                     "--data", str(synth_dir)])

@@ -287,10 +287,27 @@ class TestSplit:
         with pytest.raises(dt.SplitError):
             dt.split(ds, dt.SplitSpec(seed=0))
 
-    def test_unstratified(self):
-        ds = small_dataset(10)
-        train, test = dt.split(ds, dt.SplitSpec(train_fraction=0.5, seed=3, stratified=False))
-        assert train.n_subjects == 5 and test.n_subjects == 5
+
+def allocation_reference(labels, class_count, fraction):
+    """Largest-remainder allocation with every guard: floors clamped to the class
+    sizes, the shortfall handed out by largest remainder to classes with room,
+    an excess taken back by smallest remainder."""
+    counts = np.bincount(labels, minlength=class_count)
+    total_train = int(round(fraction * labels.size))
+    exact = fraction * counts
+    base = np.minimum(np.floor(exact).astype(int), counts)
+    remaining = total_train - base.sum()
+    if remaining > 0:
+        for c in np.argsort(-(exact - base), kind="stable"):
+            if remaining and base[c] < counts[c]:
+                base[c] += 1
+                remaining -= 1
+    else:
+        for c in np.argsort(exact - base, kind="stable"):
+            if remaining and base[c] > 0:
+                base[c] -= 1
+                remaining += 1
+    return base
 
 
 class TestSplitAndMaskProperties:
@@ -323,6 +340,15 @@ class TestSplitAndMaskProperties:
         assert np.all(np.abs(train_counts - fraction * np.array(counts)) <= 1.0)
         ids = np.concatenate([train.views[0][:, 0], test.views[0][:, 0]])
         assert sorted(ids.tolist()) == list(range(n))
+
+
+@given(counts=st.lists(st.integers(0, 60), min_size=1, max_size=6),
+       fraction=st.floats(0.01, 0.99))
+def test_train_counts_need_no_guard(counts, fraction):
+    """The remainder step alone gives the guarded allocation, empty classes included."""
+    labels = np.repeat(np.arange(len(counts)), counts)
+    got = dt._stratified_train_counts(labels, len(counts), fraction)
+    assert got.tolist() == allocation_reference(labels, len(counts), fraction).tolist()
 
 
 class TestRestrictViews:

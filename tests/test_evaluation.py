@@ -93,6 +93,12 @@ class TestMulticlassF1:
         weighted = ev.multiclass_f1(pred, true, 3, "weighted")
         assert abs(macro - weighted) < 1e-12
 
+    def test_confusion_matrix_rejects_labels_outside_the_classes(self):
+        with pytest.raises(ValueError, match=r"predicted label -1 is outside \[0, 2\)"):
+            ev.confusion_matrix([0, -1, 1], [0, 1, 1], 2)
+        with pytest.raises(ValueError, match=r"true label 2 is outside \[0, 2\)"):
+            ev.confusion_matrix([0, 1, 1], [0, 2, 1], 2)
+
     def test_matches_confusion_matrix_oracle(self):
         rng = np.random.default_rng(3)
         pred = rng.integers(0, 3, size=40)
@@ -277,7 +283,7 @@ class TestEmitReport:
                                   confusion=[[1, 0], [0, 1]], n_subjects=2)
         row = ev.TrialRow("ds", "v", 0.1, 7, md.LossWeights(0.01, 0.1, 1.0, 9.0), report)
         path = tmp_path / "r.csv"
-        ev.emit_report([row], path, fmt="csv", aggregates=False)
+        ev.emit_report([row], path, fmt="csv")
         parsed = ev.parse_report_csv(path)
         assert parsed[0]["acc"] == report.acc
         assert parsed[0]["weighted_f1"] == report.weighted_f1

@@ -7,7 +7,7 @@ import os
 import tempfile
 import types
 import warnings
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -261,24 +261,30 @@ class TestForwardView:
 
 
 class TestFuse:
+    """`forward_full` fuses the completed latents, one block per view in view order."""
+
     def test_width_matches_classifier_input(self):
-        zs = [nm.constant(np.ones((4, 300))) for _ in range(3)]
-        assert md.fuse(zs).shape == (4, 900)
+        params = md.CLCLSAParams.init_random(md.preset("rosmap"), 0)
+        views = [np.ones((4, 200)) for _ in range(3)]
+        fused = md.forward_full(views, np.ones((4, 3), bool), params, "eval").fused
+        assert fused.shape == (4, 900) == (4, params["classifier.W"].shape[0])
 
     def test_zero_block_lands_in_last_columns(self):
-        z1 = nm.constant(np.ones((3, 4)))
-        z2 = nm.constant(np.zeros((3, 4)))
-        out = md.fuse([z1, z2]).data
-        np.testing.assert_array_equal(out[:, 4:], 0.0)
-        np.testing.assert_array_equal(out[:, :4], 1.0)
+        """Under the zero policy, subject 3's block for its missing last view is zero."""
+        params = md.CLCLSAParams.init_random(replace(TINY, completion="zero"), 3)
+        cache = md.forward_full(tiny_views(), MASK_MIXED, params, "eval")
+        out = cache.fused.data
+        np.testing.assert_array_equal(out[3, 8:], 0.0)
+        for i, z in enumerate(cache.zhat_full):
+            np.testing.assert_array_equal(out[:, 4 * i:4 * (i + 1)], z.data)
 
     def test_row_permutation_equivariance(self):
-        rng = np.random.default_rng(5)
-        zs = [rng.normal(size=(6, 3)) for _ in range(2)]
-        perm = rng.permutation(6)
-        direct = md.fuse([nm.constant(z[perm]) for z in zs]).data
-        permuted = md.fuse([nm.constant(z) for z in zs]).data[perm]
-        np.testing.assert_array_equal(direct, permuted)
+        perm = np.random.default_rng(5).permutation(5)
+        views = tiny_views()
+        direct = md.forward_full([v[perm] for v in views], MASK_MIXED[perm], tiny_params(),
+                                 "eval").fused.data
+        permuted = md.forward_full(views, MASK_MIXED, tiny_params(), "eval").fused.data[perm]
+        np.testing.assert_allclose(direct, permuted, rtol=0, atol=1e-12)
 
 
 class TestCrossPredict:
@@ -1200,6 +1206,23 @@ class TestEndToEndGradients:
 
 
 class TestPredict:
+    def test_skips_the_view_block_of_a_view_no_subject_observes(self, monkeypatch):
+        mask = MASK_MIXED.copy()
+        mask[:, 2] = False
+        params = tiny_params()
+        want = md.forward_full(tiny_views(), mask, params, "eval").yhat.data
+        seen = []
+        view_latent = md._view_latent
+
+        def recording(xd, params, view, *args):
+            seen.append(view)
+            return view_latent(xd, params, view, *args)
+
+        monkeypatch.setattr(md, "_view_latent", recording)
+        yhat, _ = md.predict(tiny_views(), mask, params)
+        assert seen == [0, 1]
+        assert same_bits(yhat, want)
+
     def test_probability_tie_breaks_to_lowest_class(self):
         yhat = np.array([[0.5, 0.5], [0.2, 0.8]])
         assert np.argmax(yhat, axis=1).tolist() == [0, 1]
@@ -1301,6 +1324,14 @@ class TestInputChecks:
         views[1] = views[1][:, :5]
         with pytest.raises(nm.ShapeError, match="view 1 expects 6 features, got 5"):
             forward(views, MASK_MIXED, tiny_params())
+
+    def test_feature_width_of_a_view_no_subject_observes(self, forward):
+        views = tiny_views()
+        views[2] = views[2][:, :5]
+        mask = MASK_MIXED.copy()
+        mask[:, 2] = False
+        with pytest.raises(nm.ShapeError, match="view 2 expects 6 features, got 5"):
+            forward(views, mask, tiny_params())
 
     def test_subject_without_observed_view(self, forward):
         mask = MASK_MIXED.copy()

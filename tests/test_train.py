@@ -83,6 +83,19 @@ class TestTrain:
             assert entry.breakdown.total == entry.breakdown.l_clf
             assert entry.breakdown.l_al == entry.breakdown.l_co == entry.breakdown.l_cl == 0.0
 
+    def test_eval_every_logs_training_accuracy(self):
+        """Every second epoch logs the training-set accuracy `predict` gives for
+        the parameters after that epoch; the other epochs log none."""
+        ds = tiny_dataset(eta=0.3)
+        cfg = quick_config(epochs=5, eval_every=2)
+        _, logs = tr.train(ds, TINY_MODEL, cfg)
+        assert [e.train_acc is not None for e in logs] == [False, True, False, True, False]
+        for entry in logs[1::2]:
+            params, _ = tr.train(ds, TINY_MODEL, replace(cfg, epochs=entry.epoch + 1,
+                                                         eval_every=0))
+            _, pred = md.predict(ds.views, ds.mask, params)
+            assert entry.train_acc == float((pred == ds.labels).mean())
+
     def test_loss_descends_on_separable_data(self):
         """Total loss strictly decreases over the first 20 epochs for most seeds.
 
@@ -263,6 +276,10 @@ class TestGridSearch:
                              "--out", str(tmp_path / "out"), "--set", "grid.metric=auc"])
         assert code == 1
         assert "metric must be one of" in capsys.readouterr().err
+
+    def test_negative_candidate_rejected(self):
+        with pytest.raises(ValueError, match="lambda_cl must be >= 0, got -1"):
+            tr.GridSpec(lambda_cl_values=(0.0, 0.1, -1))
 
     def test_tie_rule_picks_smallest_triple(self):
         trials = [
