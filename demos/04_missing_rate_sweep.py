@@ -26,7 +26,7 @@ for point in result.points:
 
 print("\n== every trial persists as one long-format row ==")
 with tempfile.TemporaryDirectory() as out:
-    path = evaluation.emit_report(result, f"{out}/sweep.csv", fmt="csv")
+    path = evaluation.emit_report(result.rows, f"{out}/sweep.csv", fmt="csv")
     rows = evaluation.parse_report_csv(path)
     ok = [r for r in rows if r["status"] == "ok"]
     agg = [r for r in rows if str(r["status"]).startswith("aggregate")]

@@ -31,9 +31,9 @@ print("\n== component ablation at two missing rates ==")
 spec = evaluation.AblationSpec(etas=(0.2, 0.4), seeds=(0, 1), lambda_co=0.1)
 tcfg = train.TrainConfig(epochs=250, initial_lr=2e-3, lr_schedule="constant",
                          weights=model.LossWeights(0.01, 0.1, 0.01, 9.0))
-results = evaluation.ablation_run(ds, spec, cfg, tcfg)
+points = evaluation.ablation_run(ds, spec, cfg, tcfg).points
 print(f"{'variant':>9}  " + "  ".join(f"eta={e}" for e in spec.etas))
 for variant in spec.variants:
-    accs = [p.mean["acc"] for p in results[variant].points]
+    accs = [p.mean["acc"] for p in points if p.variant == variant]
     print(f"{variant:>9}  " + "  ".join(f"{a:7.3f}" for a in accs))
 print("(ctst = contrastive term on, aux = gate/auxiliary term on)")

@@ -262,11 +262,11 @@ def _setup(args, config):
                                             "train": asdict(train_config)}
 
 
-def _emit(args, command, stem, results, resolved, seeds, started):
+def _emit(args, command, stem, result, resolved, seeds, started):
     """Write a runner's report and the run manifest; returns the report path."""
     out = _out_dir(args)
     report_path = os.path.join(out, f"{stem}.{args.format}")
-    ev.emit_report(results, report_path, fmt=args.format)
+    ev.emit_report(result.rows, report_path, fmt=args.format)
     _write_manifest(out, command, resolved, seeds, _dataset_inputs(args.data),
                     [report_path], started)
     return report_path
@@ -325,10 +325,10 @@ def _cmd_mask(args, config):
     started = time.time()
     section = _section(config, "mask")
     _check_keys(section, {"eta", "policy"}, "mask.")
-    ds = dt.load_dataset_dir(args.data)
     if section.get("eta") is None:
         raise UsageError("mask needs --eta")
     spec = _build(dt.MissingnessSpec, {**section, "seed": args.seed}, "mask")
+    ds = dt.load_dataset_dir(args.data)
     masked = dt.apply_missingness(ds, spec)
     out = _out_dir(args)
     dt.write_dataset(masked, out, manifest_extra={"missingness": asdict(spec)})
@@ -462,13 +462,13 @@ def _cmd_ablate(args, config):
     ds, model_config, train_config, resolved = _setup(args, config)
     spec = ev.AblationSpec(etas=tuple(args.etas), seeds=tuple(args.seeds or [args.seed]),
                            lambda_co=args.lambda_co_fixed)
-    results = ev.ablation_run(ds, spec, model_config, train_config,
-                              dataset_name=os.path.basename(os.path.normpath(args.data)))
+    result = ev.ablation_run(ds, spec, model_config, train_config,
+                             dataset_name=os.path.basename(os.path.normpath(args.data)))
     resolved["ablate"] = {"etas": list(spec.etas), "seeds": list(spec.seeds),
                           "lambda_co": spec.lambda_co}
-    _emit(args, "ablate", "ablation", results, resolved, list(spec.seeds), started)
-    for variant, sweep in results.items():
-        accs = [p.mean.get("acc") for p in sweep.points]
+    _emit(args, "ablate", "ablation", result, resolved, list(spec.seeds), started)
+    for variant in spec.variants:
+        accs = [p.mean.get("acc") for p in result.points if p.variant == variant]
         print(f"{variant}: mean acc per eta {[None if a is None else round(a, 4) for a in accs]}")
     return 0
 
@@ -487,13 +487,13 @@ def _cmd_surface(args, config):
     fixed = dict([args.fix])
     grids = dict(args.vary)
     seeds = args.seeds or [args.seed]
-    rows = ev.hyperparam_surface(ds, model_config, train_config, fixed, grids,
-                                 args.eta, seeds,
-                                 dataset_name=os.path.basename(os.path.normpath(args.data)))
+    result = ev.hyperparam_surface(ds, model_config, train_config, fixed, grids,
+                                   args.eta, seeds,
+                                   dataset_name=os.path.basename(os.path.normpath(args.data)))
     resolved["surface"] = {"fixed": fixed, "grids": grids, "eta": args.eta, "seeds": seeds}
-    report_path = _emit(args, "surface", "surface", rows, resolved, seeds, started)
-    ok = sum(1 for r in rows if r.status == "ok")
-    print(f"surface: {ok}/{len(rows)} trials ok; table at {report_path}")
+    report_path = _emit(args, "surface", "surface", result, resolved, seeds, started)
+    ok = sum(1 for r in result.rows if r.status == "ok")
+    print(f"surface: {ok}/{len(result.rows)} trials ok; table at {report_path}")
     return 0
 
 

@@ -324,16 +324,27 @@ class MissingnessSpec:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+        if self.policy != "uniform":
+            _dropped_views(self.policy)
+
+
+def _dropped_views(policy) -> list:
+    """The sorted view indices a "drop:i[,j...]" policy names."""
+    if isinstance(policy, str) and policy.startswith("drop:"):
+        try:
+            return sorted({int(tok) for tok in policy[len("drop:"):].split(",")})
+        except ValueError:
+            pass
+    raise ValueError(f"missingness policy must be 'uniform' or 'drop:' followed by "
+                     f"comma-separated view indices, got {policy!r}")
 
 
 def _parse_drop_policy(policy, m):
-    dropped = sorted({int(tok) for tok in policy[len("drop:"):].split(",")})
+    dropped = _dropped_views(policy)
     if any(i < 0 or i >= m for i in dropped):
         raise ValueError(f"policy {policy!r} names a view outside [0, {m})")
     if len(dropped) >= m:
         raise ValueError(f"policy {policy!r} would leave no observed view")
-    if not dropped:
-        raise ValueError(f"policy {policy!r} drops nothing")
     return dropped
 
 
@@ -350,11 +361,7 @@ def apply_missingness(ds: MultiOmicsDataset, spec: MissingnessSpec) -> MultiOmic
     rng = RngStream(spec.seed, "missingness")
     mask = np.ones((n, m), dtype=bool)
     incomplete = rng.permutation(n)[:n_incomplete]
-    fixed_drop = None
-    if spec.policy.startswith("drop:"):
-        fixed_drop = _parse_drop_policy(spec.policy, m)
-    elif spec.policy != "uniform":
-        raise ValueError(f"unknown missingness policy {spec.policy!r}")
+    fixed_drop = None if spec.policy == "uniform" else _parse_drop_policy(spec.policy, m)
     for j in incomplete:
         if fixed_drop is not None:
             mask[j, fixed_drop] = False

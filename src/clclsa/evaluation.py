@@ -3,8 +3,10 @@
 Metrics are pure functions with documented degenerate-case conventions
 (zero-denominator F1 is 0, AUC ties earn half credit). The runners reproduce
 the experiment shapes: missing-rate sweeps, partial-view runs, hyperparameter
-surfaces, and component ablations. Every trial is persisted as one long-format
-row so aggregates can always be recomputed.
+surfaces, and component ablations. Each checks every value it was given before
+the first training and returns a SweepResult: one long-format row per trial,
+so aggregates can always be recomputed, and one point per (dataset, variant,
+eta) group.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from .data import (
 from .model import LossWeights, ModelConfig
 from .numerics import derive_seed
 
-REPORT_COLUMNS = (
-    "dataset", "variant", "eta", "seed", "lambda_al", "lambda_co", "lambda_cl",
-    "alpha", "acc", "f1", "auc", "weighted_f1", "macro_f1", "status",
-)
+METRIC_COLUMNS = ("acc", "f1", "auc", "weighted_f1", "macro_f1")
+REPORT_COLUMNS = ("dataset", "variant", "eta", "seed", "lambda_al", "lambda_co",
+                  "lambda_cl", "alpha", *METRIC_COLUMNS, "status")
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +198,27 @@ class TrialRow:
     detail: str = ""
 
     def to_record(self) -> dict:
-        rec = {
+        metrics = {} if self.report is None else {k: getattr(self.report, k)
+                                                  for k in METRIC_COLUMNS}
+        return {
+            **dict.fromkeys(REPORT_COLUMNS),
             "dataset": self.dataset, "variant": self.variant, "eta": self.eta,
             "seed": self.seed, "lambda_al": self.weights.lambda_al,
             "lambda_co": self.weights.lambda_co, "lambda_cl": self.weights.lambda_cl,
-            "alpha": self.weights.alpha, "acc": None, "f1": None, "auc": None,
-            "weighted_f1": None, "macro_f1": None, "status": self.status,
+            "alpha": self.weights.alpha, "status": self.status, **metrics,
         }
-        if self.report is not None:
-            rec.update(acc=self.report.acc, f1=self.report.f1, auc=self.report.auc,
-                       weighted_f1=self.report.weighted_f1, macro_f1=self.report.macro_f1)
-        return rec
+
+
+def fit_and_score(train_ds: MultiOmicsDataset, test_ds: MultiOmicsDataset,
+                  model_config: ModelConfig, cfg: tr.TrainConfig, metadata=None) -> tuple:
+    """Train on one side and score on the other: (MetricsReport, ""), or
+    (None, the reason) when training aborts."""
+    try:
+        params, _ = tr.train(train_ds, model_config, cfg)
+    except tr.TrainingAborted as exc:
+        return None, str(exc)
+    yhat, _ = md.predict(test_ds.views, test_ds.mask, params)
+    return compute_report(yhat, test_ds.labels, test_ds.class_count, metadata=metadata), ""
 
 
 def run_trial(ds: MultiOmicsDataset, model_config: ModelConfig,
@@ -228,24 +239,23 @@ def run_trial(ds: MultiOmicsDataset, model_config: ModelConfig,
             test_ds = apply_missingness(
                 test_ds, MissingnessSpec(eta=eta, seed=derive_seed(seed, "mask-test")))
     cfg = replace(train_config, seed=seed)
-    try:
-        params, _ = tr.train(train_ds, model_config, cfg)
-    except tr.TrainingAborted as exc:
-        return TrialRow(dataset_name, variant, eta, seed, cfg.weights, None,
-                        status="failed", detail=str(exc))
-    yhat, _ = md.predict(test_ds.views, test_ds.mask, params)
-    report = compute_report(yhat, test_ds.labels, test_ds.class_count,
-                            metadata={"dataset": dataset_name, "eta": eta,
-                                      "seed": seed, "variant": variant})
-    return TrialRow(dataset_name, variant, eta, seed, cfg.weights, report)
+    report, detail = fit_and_score(train_ds, test_ds, model_config, cfg,
+                                   metadata={"dataset": dataset_name, "eta": eta,
+                                             "seed": seed, "variant": variant})
+    return TrialRow(dataset_name, variant, eta, seed, cfg.weights, report,
+                    status="failed" if report is None else "ok", detail=detail)
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Runners: each builds and checks its whole trial list, then runs `_run_trials`
 
 
 @dataclass
 class SweepPoint:
+    """One (dataset, variant, eta) group: mean and std over its ok trials."""
+
+    dataset: str
+    variant: str
     eta: float
     reports: list
     mean: dict
@@ -259,15 +269,53 @@ class SweepResult:
     rows: list
 
 
-def _aggregate(reports) -> tuple:
-    keys = ("acc", "weighted_f1", "macro_f1", "f1", "auc")
-    mean, std = {}, {}
-    for key in keys:
-        values = [getattr(r, key) for r in reports if getattr(r, key) is not None]
-        if values:
-            mean[key] = float(np.mean(values))
-            std[key] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return mean, std
+def _points(rows) -> list:
+    """Group rows by (dataset, variant, eta), in first-row order."""
+    groups = {}
+    for row in rows:
+        groups.setdefault((row.dataset, row.variant, row.eta), []).append(row)
+    points = []
+    for (dataset, variant, eta), members in groups.items():
+        reports = [m.report for m in members if m.status == "ok"]
+        point = SweepPoint(dataset, variant, eta, reports, {}, {}, len(members) - len(reports))
+        for key in METRIC_COLUMNS:
+            values = [getattr(r, key) for r in reports if getattr(r, key) is not None]
+            if values:
+                point.mean[key] = float(np.mean(values))
+                point.std[key] = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+        points.append(point)
+    return points
+
+
+def _checked(etas, seeds) -> list:
+    """The etas, sorted and each a valid missing rate, given nonempty seeds."""
+    etas = list(etas)
+    if sorted(etas) != etas:
+        raise ValueError("etas must be sorted ascending")
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
+    for eta in etas:
+        MissingnessSpec(eta=eta, seed=0)
+    return etas
+
+
+def _run_trials(ds: MultiOmicsDataset, model_config: ModelConfig,
+                train_config: tr.TrainConfig, trials, mask_test: bool = True,
+                dataset_name: str = "dataset") -> SweepResult:
+    """Run trials (variant, eta, seed, weights, views) in order; `views`, when
+    not None, restricts the dataset and the model to that view subset."""
+    rows = []
+    for variant, eta, seed, weights, views in trials:
+        trial_ds, trial_config = ds, model_config
+        if views is not None:
+            trial_ds = restrict_views(ds, views)
+            trial_config = replace(model_config, num_views=len(views),
+                                   input_dims=[model_config.input_dims[i] for i in views],
+                                   embed_dims=[model_config.embed_dims[i] for i in views])
+        rows.append(run_trial(trial_ds, trial_config, replace(train_config, weights=weights),
+                              eta, seed, mask_test=mask_test, dataset_name=dataset_name,
+                              variant=variant))
+    return SweepResult(points=_points(rows), rows=rows)
 
 
 def missing_rate_sweep(ds: MultiOmicsDataset, model_config: ModelConfig,
@@ -275,49 +323,25 @@ def missing_rate_sweep(ds: MultiOmicsDataset, model_config: ModelConfig,
                        mask_test: bool = True, dataset_name: str = "dataset",
                        variant: str = "clclsa") -> SweepResult:
     """Train/evaluate at each missing rate, aggregating mean/std over seeds."""
-    etas = list(etas)
-    if sorted(etas) != etas:
-        raise ValueError("etas must be sorted ascending")
-    if not seeds:
-        raise ValueError("seeds must be nonempty")
-    points = []
-    rows = []
-    for eta in etas:
-        reports = []
-        failures = 0
-        for seed in seeds:
-            row = run_trial(ds, model_config, train_config, eta, seed,
-                            mask_test=mask_test, dataset_name=dataset_name,
-                            variant=variant)
-            rows.append(row)
-            if row.status == "ok":
-                reports.append(row.report)
-            else:
-                failures += 1
-        mean, std = _aggregate(reports)
-        points.append(SweepPoint(eta=eta, reports=reports, mean=mean, std=std,
-                                 failures=failures))
-    return SweepResult(points=points, rows=rows)
+    trials = [(variant, eta, seed, train_config.weights, None)
+              for eta in _checked(etas, seeds) for seed in seeds]
+    return _run_trials(ds, model_config, train_config, trials, mask_test, dataset_name)
 
 
 def partial_omics_run(ds: MultiOmicsDataset, view_subsets, model_config: ModelConfig,
                       train_config: tr.TrainConfig, etas, seeds,
-                      dataset_name: str = "dataset", **kwargs) -> dict:
-    """Missing-rate sweep per view subset; models shrink to the subset's M."""
-    results = {}
-    for subset in view_subsets:
-        subset = tuple(subset)
+                      dataset_name: str = "dataset", mask_test: bool = True) -> SweepResult:
+    """Missing-rate sweep per view subset, named by its views joined by "+";
+    models shrink to the subset's M."""
+    etas = _checked(etas, seeds)
+    trials = []
+    for subset in map(tuple, view_subsets):
         if len(subset) < 2:
             raise ValueError(f"view subset {subset} needs at least two views")
-        sub_ds = restrict_views(ds, subset)
-        sub_config = replace(model_config, num_views=len(subset),
-                             input_dims=[model_config.input_dims[i] for i in subset],
-                             embed_dims=[model_config.embed_dims[i] for i in subset])
         name = "+".join(ds.view_names[i] for i in subset)
-        results[subset] = missing_rate_sweep(
-            sub_ds, sub_config, train_config, etas, seeds,
-            dataset_name=dataset_name, variant=name, **kwargs)
-    return results
+        trials += [(name, eta, seed, train_config.weights, subset)
+                   for eta in etas for seed in seeds]
+    return _run_trials(ds, model_config, train_config, trials, mask_test, dataset_name)
 
 
 # the loss weights a surface fixes one of and varies two of
@@ -326,8 +350,8 @@ SURFACE_WEIGHTS = ("lambda_al", "lambda_co", "lambda_cl")
 
 def hyperparam_surface(ds: MultiOmicsDataset, model_config: ModelConfig,
                        train_config: tr.TrainConfig, fixed: dict, grids: dict,
-                       eta: float, seeds, dataset_name: str = "dataset") -> list:
-    """Train per grid cell at a fixed missing rate; returns long-format rows.
+                       eta: float, seeds, dataset_name: str = "dataset") -> SweepResult:
+    """Train per grid cell at a fixed missing rate; each cell is one variant.
 
     Exactly one weight is fixed and the other two vary, mirroring the
     three-panel analysis. All cells share each seed so differences are
@@ -335,19 +359,17 @@ def hyperparam_surface(ds: MultiOmicsDataset, model_config: ModelConfig,
     """
     if set(fixed) | set(grids) != set(SURFACE_WEIGHTS) or len(fixed) != 1 or len(grids) != 2:
         raise ValueError("need exactly one fixed weight and two varying grids")
+    _checked([eta], seeds)
     (fixed_name, fixed_value), = fixed.items()
     (name_a, values_a), (name_b, values_b) = sorted(grids.items())
-    rows = []
+    trials = []
     for va in values_a:
         for vb in values_b:
-            assignment = {fixed_name: fixed_value, name_a: va, name_b: vb}
-            weights = LossWeights(alpha=train_config.weights.alpha, **assignment)
-            cfg = replace(train_config, weights=weights)
-            variant = f"{name_a}={va},{name_b}={vb}"
-            for seed in seeds:
-                rows.append(run_trial(ds, model_config, cfg, eta, seed,
-                                      dataset_name=dataset_name, variant=variant))
-    return rows
+            weights = LossWeights(alpha=train_config.weights.alpha,
+                                  **{fixed_name: fixed_value, name_a: va, name_b: vb})
+            trials += [(f"{name_a}={va},{name_b}={vb}", eta, seed, weights, None)
+                       for seed in seeds]
+    return _run_trials(ds, model_config, train_config, trials, dataset_name=dataset_name)
 
 
 ABLATION_VARIANTS = ("plain", "ctst", "aux", "ctst+aux")
@@ -385,61 +407,34 @@ def ablation_weights(variant: str, base: LossWeights, lambda_co: float) -> LossW
 
 
 def ablation_run(ds: MultiOmicsDataset, spec: AblationSpec, model_config: ModelConfig,
-                 train_config: tr.TrainConfig, dataset_name: str = "dataset") -> dict:
-    """Run the component-toggle variants across missing rates.
-
-    Returns {variant: SweepResult}.
-    """
-    results = {}
+                 train_config: tr.TrainConfig, dataset_name: str = "dataset") -> SweepResult:
+    """Run the component-toggle variants across missing rates."""
+    etas = _checked(spec.etas, spec.seeds)
+    trials = []
     for variant in spec.variants:
         weights = ablation_weights(variant, train_config.weights, spec.lambda_co)
-        cfg = replace(train_config, weights=weights)
-        results[variant] = missing_rate_sweep(
-            ds, model_config, cfg, list(spec.etas), list(spec.seeds),
-            dataset_name=dataset_name, variant=variant)
-    return results
+        trials += [(variant, eta, seed, weights, None) for eta in etas for seed in spec.seeds]
+    return _run_trials(ds, model_config, train_config, trials, dataset_name=dataset_name)
 
 
 # ---------------------------------------------------------------------------
 # Report emission
 
 
-def _rows_of(results) -> list:
-    if isinstance(results, SweepResult):
-        return list(results.rows)
-    if isinstance(results, dict):
-        rows = []
-        for value in results.values():
-            rows.extend(_rows_of(value))
-        return rows
-    return list(results)
-
-
-def _aggregate_records(rows) -> list:
-    groups = {}
-    for row in rows:
-        if row.status != "ok":
-            continue
-        groups.setdefault((row.dataset, row.variant, row.eta), []).append(row)
-    records = []
-    for (dataset, variant, eta), members in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2])):
-        mean, std = _aggregate([m.report for m in members])
-        for status, stats in (("aggregate-mean", mean), ("aggregate-std", std)):
-            rec = {c: None for c in REPORT_COLUMNS}
-            rec.update(dataset=dataset, variant=variant, eta=eta, status=status)
-            rec.update({k: stats.get(k) for k in ("acc", "f1", "auc", "weighted_f1", "macro_f1")})
-            records.append(rec)
-    return records
-
-
-def emit_report(results, path, fmt: str = "csv"):
-    """Write long-format trial rows (one per trial) plus aggregate rows.
+def emit_report(rows, path, fmt: str = "csv"):
+    """Write long-format trial rows (one per trial) plus a mean and a std row
+    per (dataset, variant, eta) group that has an ok trial.
 
     CSV columns are fixed; JSON mirrors the same records. Floats are written
     via repr so a parse reproduces them exactly.
     """
-    rows = _rows_of(results)
-    records = [row.to_record() for row in rows] + _aggregate_records(rows)
+    records = [row.to_record() for row in rows]
+    aggregated = [p for p in _points(rows) if p.reports]
+    for p in sorted(aggregated, key=lambda p: (p.dataset, p.variant, p.eta)):
+        for status, stats in (("aggregate-mean", p.mean), ("aggregate-std", p.std)):
+            records.append({**dict.fromkeys(REPORT_COLUMNS), "dataset": p.dataset,
+                            "variant": p.variant, "eta": p.eta, "status": status,
+                            **{k: stats.get(k) for k in METRIC_COLUMNS}})
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

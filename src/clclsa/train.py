@@ -238,15 +238,10 @@ def grid_search(train_ds: MultiOmicsDataset, val_ds: Optional[MultiOmicsDataset]
                               alpha=base.weights.alpha)
         cfg = replace(base, weights=weights,
                       seed=nm.derive_seed(base.seed, "grid-trial", index))
-        try:
-            params, _ = train(train_ds, model_config, cfg)
-        except TrainingAborted as exc:
-            trials.append(GridTrial(index, weights, None, "failed", str(exc)))
-            continue
-        yhat, _ = md.predict(val_ds.views, val_ds.mask, params)
-        report = ev.compute_report(yhat, val_ds.labels, val_ds.class_count)
-        metric = getattr(report, grid.metric)
-        trials.append(GridTrial(index, weights, metric, "ok"))
+        report, detail = ev.fit_and_score(train_ds, val_ds, model_config, cfg)
+        metric = None if report is None else getattr(report, grid.metric)
+        trials.append(GridTrial(index, weights, metric, "failed" if report is None else "ok",
+                                detail))
     result = GridSearchResult(trials=trials, best=None)
     ranked = result.ranked()
     result.best = ranked[0] if ranked else None

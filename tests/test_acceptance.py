@@ -321,9 +321,9 @@ class TestCriterion8AblationTrend:
         ds = family_dataset()
         spec = ev.AblationSpec(variants=("plain", "ctst+aux"), etas=(0.2, 0.4),
                                seeds=(0, 1, 2, 3, 4), lambda_co=0.1)
-        results = ev.ablation_run(ds, spec, DESK_MODEL, DESK_TRAIN)
-        plain = [p.mean["acc"] for p in results["plain"].points]
-        both = [p.mean["acc"] for p in results["ctst+aux"].points]
+        points = ev.ablation_run(ds, spec, DESK_MODEL, DESK_TRAIN).points
+        plain = [p.mean["acc"] for p in points if p.variant == "plain"]
+        both = [p.mean["acc"] for p in points if p.variant == "ctst+aux"]
         ok = all(b >= p - 0.01 for b, p in zip(both, plain))
         elapsed = time.time() - start
         report_line(8, ok and elapsed < 1200,

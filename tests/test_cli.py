@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from clclsa import cli
+from clclsa import data as dt
 from clclsa import train as tr
 from tests.test_train import raising_stub
 
@@ -344,6 +345,15 @@ class TestUsageErrors:
         assert run(argv) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("policy", ["foo", "drop:x"])
+    def test_malformed_mask_policy(self, tmp_path, synth_dir, capsys, monkeypatch, policy):
+        monkeypatch.setattr(dt, "load_dataset_dir", raising_stub("load_dataset_dir"))
+        out = tmp_path / "out"
+        assert run(["mask", "--data", str(synth_dir), "--seed", "1", "--out", str(out),
+                    "--eta", "0.3", "--policy", policy]) == 1
+        assert repr(policy) in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--config", "f.json"], ["--set", "a=1"]],
                              ids=["config", "set"])

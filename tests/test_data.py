@@ -209,6 +209,16 @@ class TestApplyMissingness:
         with pytest.raises(ValueError):
             dt.apply_missingness(ds, dt.MissingnessSpec(eta=0.5, seed=0, policy="nonsense"))
 
+    @pytest.mark.parametrize("policy", ["nonsense", "drop:", "drop:x", "drop:0,,1", "drop", 2])
+    def test_malformed_policy_rejected_by_the_spec(self, policy):
+        with pytest.raises(ValueError, match=f"got {policy!r}"):
+            dt.MissingnessSpec(eta=0.5, seed=0, policy=policy)
+
+    def test_view_index_checked_against_the_data(self):
+        spec = dt.MissingnessSpec(eta=0.5, seed=0, policy="drop:3")
+        with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+            dt.apply_missingness(small_dataset(), spec)
+
 
 class TestSynthGenerate:
     def test_single_class_labels_all_zero(self):

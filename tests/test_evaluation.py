@@ -7,6 +7,7 @@ from clclsa import data as dt
 from clclsa import evaluation as ev
 from clclsa import model as md
 from clclsa import train as tr
+from tests.test_train import aborting_train, raising_stub
 
 
 class TestAccuracy:
@@ -199,9 +200,9 @@ class TestRunners:
 
     def test_partial_omics_shrinks_model(self):
         ds, model_cfg, train_cfg = fast_runner_setup()
-        results = ev.partial_omics_run(ds, [(0, 1)], model_cfg, train_cfg, [0.0], [1])
-        assert (0, 1) in results
-        row = results[(0, 1)].rows[0]
+        result = ev.partial_omics_run(ds, [(0, 1)], model_cfg, train_cfg, [0.0], [1])
+        assert [p.variant for p in result.points] == ["view0+view1"]
+        row = result.rows[0]
         assert row.status == "ok"
 
     def test_partial_omics_singleton_rejected(self):
@@ -220,7 +221,7 @@ class TestRunners:
         ds, model_cfg, train_cfg = fast_runner_setup()
         rows = ev.hyperparam_surface(ds, model_cfg, train_cfg, {"lambda_al": 0.1},
                                      {"lambda_co": [0.01, 0.1], "lambda_cl": [0.01, 0.1]},
-                                     0.2, [1])
+                                     0.2, [1]).rows
         assert len(rows) == 4
         assert all(r.weights.lambda_al == 0.1 for r in rows)
 
@@ -259,14 +260,67 @@ class TestRunners:
                               weights=md.LossWeights(0.01, 0.1, 0.01, 9.0))
         res = ev.partial_omics_run(ds, [(0, 1), (0, 2), (1, 2)], cfg, tcfg,
                                    [0.0], [0, 1])
-        acc = {k: v.points[0].mean["acc"] for k, v in res.items()}
-        assert min(acc[(0, 1)], acc[(0, 2)]) > acc[(1, 2)] + 0.1
+        acc = {p.variant: p.mean["acc"] for p in res.points}
+        assert min(acc["view0+view1"], acc["view0+view2"]) > acc["view1+view2"] + 0.1
 
     def test_ablation_run_variants(self):
         ds, model_cfg, train_cfg = fast_runner_setup()
         spec = ev.AblationSpec(variants=("plain", "ctst+aux"), etas=(0.2,), seeds=(1,))
-        results = ev.ablation_run(ds, spec, model_cfg, train_cfg)
-        assert set(results) == {"plain", "ctst+aux"}
+        result = ev.ablation_run(ds, spec, model_cfg, train_cfg)
+        assert {p.variant for p in result.points} == {"plain", "ctst+aux"}
+
+
+
+class TestValuesCheckedBeforeTraining:
+    @pytest.mark.parametrize("runner, offending", [
+        (lambda ds, m, t: ev.missing_rate_sweep(ds, m, t, [0.0, 0.2, 1.5], [0, 1]), "1.5"),
+        # a negative rate masks nothing, so it once trained unchecked
+        (lambda ds, m, t: ev.missing_rate_sweep(ds, m, t, [-0.2, 0.2], [0]), "-0.2"),
+        (lambda ds, m, t: ev.ablation_run(ds, ev.AblationSpec(etas=(0.2, 1.5), seeds=(0,)),
+                                          m, t), "1.5"),
+        (lambda ds, m, t: ev.hyperparam_surface(ds, m, t, {"lambda_al": 0.1},
+                                                {"lambda_co": [0.1], "lambda_cl": [0.1, -0.5]},
+                                                0.2, [0]), "-0.5"),
+        (lambda ds, m, t: ev.hyperparam_surface(ds, m, t, {"lambda_al": 0.1},
+                                                {"lambda_co": [0.1], "lambda_cl": [0.1]},
+                                                -0.1, [0]), "-0.1"),
+        (lambda ds, m, t: ev.partial_omics_run(ds, [(0, 1), (2,)], m, t, [0.0], [0]),
+         "(2,)"),
+    ], ids=["sweep_eta", "sweep_negative_eta", "ablation_eta", "surface_weight",
+            "surface_eta", "partial_singleton"])
+    def test_bad_last_value_raises_before_any_training(self, monkeypatch, runner, offending):
+        ds, model_cfg, train_cfg = fast_runner_setup()
+        monkeypatch.setattr(tr, "train", raising_stub("train"))
+        with pytest.raises(ValueError) as info:
+            runner(ds, model_cfg, train_cfg)
+        assert offending in str(info.value)
+
+
+class TestAbortedTrials:
+    def test_failed_row_and_point(self, monkeypatch):
+        ds, model_cfg, train_cfg = fast_runner_setup()
+        monkeypatch.setattr(tr, "train", aborting_train(lambda _, cfg: cfg.seed == 2))
+        sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.0], [1, 2, 3])
+        assert [r.status for r in sweep.rows] == ["ok", "failed", "ok"]
+        assert sweep.rows[1].report is None
+        assert sweep.rows[1].detail == "training aborted at epoch 3: term 'l_cl' is non-finite"
+        point, = sweep.points
+        assert point.failures == 1 and len(point.reports) == 2
+        assert point.mean["acc"] == np.mean([sweep.rows[0].report.acc, sweep.rows[2].report.acc])
+
+    def test_all_failed_group_has_rows_but_no_aggregates(self, tmp_path, monkeypatch):
+        ds, model_cfg, train_cfg = fast_runner_setup()
+        # only the eta 0.3 trials train on incomplete data
+        monkeypatch.setattr(tr, "train", aborting_train(lambda d, _: not d.is_complete()))
+        sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.0, 0.3], [1, 2])
+        assert [p.failures for p in sweep.points] == [0, 2]
+        assert sweep.points[1].mean == {} and sweep.points[1].reports == []
+        path = tmp_path / "sweep.csv"
+        ev.emit_report(sweep.rows, path, fmt="csv")
+        parsed = ev.parse_report_csv(path)
+        assert [(r["eta"], r["status"]) for r in parsed] == [
+            (0.0, "ok"), (0.0, "ok"), (0.3, "failed"), (0.3, "failed"),
+            (0.0, "aggregate-mean"), (0.0, "aggregate-std")]
 
 
 class TestEmitReport:
@@ -293,7 +347,7 @@ class TestEmitReport:
         ds, model_cfg, train_cfg = fast_runner_setup()
         sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.0, 0.3], [1, 2, 3])
         path = tmp_path / "sweep.csv"
-        ev.emit_report(sweep, path, fmt="csv")
+        ev.emit_report(sweep.rows, path, fmt="csv")
         parsed = ev.parse_report_csv(path)
         data_rows = [r for r in parsed if r["status"] == "ok"]
         agg_rows = [r for r in parsed if str(r["status"]).startswith("aggregate")]
@@ -306,7 +360,7 @@ class TestEmitReport:
         ds, model_cfg, train_cfg = fast_runner_setup()
         sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.0], [1])
         path = tmp_path / "sweep.json"
-        ev.emit_report(sweep, path, fmt="json")
+        ev.emit_report(sweep.rows, path, fmt="json")
         doc = json.loads(path.read_text())
         assert doc["columns"] == list(ev.REPORT_COLUMNS)
         assert doc["rows"][0]["acc"] == sweep.rows[0].report.acc

@@ -32,6 +32,17 @@ def raising_stub(name):
     return stub
 
 
+def aborting_train(fails):
+    """A `train.train` that aborts the trials `fails(train_ds, cfg)` picks."""
+    original = tr.train
+
+    def train(train_ds, model_config, cfg):
+        if fails(train_ds, cfg):
+            raise tr.TrainingAborted("l_cl", 3, None, [])
+        return original(train_ds, model_config, cfg)
+    return train
+
+
 def quick_config(**kw):
     base = dict(epochs=20, initial_lr=1e-3, lr_schedule="constant", seed=0,
                 weights=md.LossWeights(0.1, 0.1, 0.01, 9.0))
@@ -291,6 +302,29 @@ class TestGridSearch:
         ranked = result.ranked()
         assert ranked[0].weights == md.LossWeights(0.0, 0.0, 0.0)
         assert ranked[1].weights == md.LossWeights(0.0, 0.1, 0.0)
+
+    def test_aborted_trial_recorded_and_left_out_of_best(self, monkeypatch):
+        ds = tiny_dataset(n=40, eta=0.4)
+        grid = tr.GridSpec(lambda_al_values=(0.0,), lambda_co_values=(0.1,),
+                           lambda_cl_values=(0.0, 0.1))
+        # the smaller triple would win a tie; abort it
+        monkeypatch.setattr(tr, "train",
+                            aborting_train(lambda _, cfg: cfg.weights.lambda_cl == 0.0))
+        result = tr.grid_search(ds, None, TINY_MODEL, grid, quick_config(epochs=2))
+        failed, ok = result.trials
+        assert (failed.status, failed.metric) == ("failed", None)
+        assert failed.detail.startswith("training aborted at epoch 3")
+        assert ok.status == "ok" and ok.metric is not None
+        assert result.ranked() == [ok] and result.best is ok
+
+    def test_all_trials_aborted_leaves_no_best(self, monkeypatch):
+        monkeypatch.setattr(tr, "train", aborting_train(lambda *_: True))
+        grid = tr.GridSpec(lambda_al_values=(0.0,), lambda_co_values=(0.1,),
+                           lambda_cl_values=(0.0, 0.1))
+        result = tr.grid_search(tiny_dataset(n=40, eta=0.4), None, TINY_MODEL, grid,
+                                quick_config(epochs=2))
+        assert [t.status for t in result.trials] == ["failed", "failed"]
+        assert result.best is None
 
     def test_failed_trials_excluded_from_ranking(self):
         trials = [
