@@ -8,15 +8,16 @@ takes precedence over both. Each writes a manifest recording the resolved
 configuration, seeds, input digests, artifact paths, the environment
 (Python, numpy, BLAS and the BLAS thread variables, platform, usable CPUs,
 git revision), and duration; eval writes one beside its metrics file when
-given --out. Stochastic subcommands
-require an explicit --seed; re-running the same command line reproduces
-every emitted number bitwise in single-thread mode.
+given --out. Every subcommand except eval requires --seed; re-running the
+same command line reproduces every emitted number bitwise in single-thread
+mode.
 
 Exit codes: 0 success, 1 usage error (including an unknown config section or
 key, a config value its constructor rejects, a malformed flag value, --etas
-out of ascending order, a missing rate outside [0, 1] or a negative loss
-weight given to a runner, or a model or checkpoint whose views, widths or
-classes do not match the data), 2 runtime/numeric failure.
+not strictly ascending, a repeated --seeds or --vary value, a missing rate
+outside [0, 1] or a negative loss weight given to a runner, or a model or
+checkpoint whose views, widths or classes do not match the data), 2
+runtime/numeric failure.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-STOCHASTIC = {"synth", "mask", "train", "sweep", "grid", "ablate", "surface"}
 SECTIONS = {"model", "train", "synth", "mask", "grid"}
 
 
@@ -128,13 +128,6 @@ def _model_config(config, args, ds):
         section.setdefault("ae_hidden", [16, 8])
         section.setdefault("dropout_p", 0.1)
     return _build(md.ModelConfig, section, "model"), section
-
-
-def _train_config(config, args):
-    section = _section(config, "train")
-    section["weights"] = _build(md.LossWeights, _section(section, "weights"), "train.weights")
-    section["seed"] = args.seed if args.seed is not None else section.get("seed", 0)
-    return _build(tr.TrainConfig, section, "train")
 
 
 def _sha256(path):
@@ -257,7 +250,9 @@ def _setup(args, config):
     ds = dt.load_dataset_dir(args.data, scale=args.scale)
     model_config, model_section = _model_config(config, args, ds)
     _check_model_fits(model_config, ds)
-    train_config = _train_config(config, args)
+    section = _section(config, "train")
+    section["weights"] = _build(md.LossWeights, _section(section, "weights"), "train.weights")
+    train_config = _build(tr.TrainConfig, {**section, "seed": args.seed}, "train")
     return ds, model_config, train_config, {"model": model_section,
                                             "train": asdict(train_config)}
 
@@ -282,13 +277,24 @@ def float_list(text):
 
 def ascending_float_list(text):
     values = float_list(text)
-    if values != sorted(values):
+    if values != sorted(set(values)):
         raise ValueError(text)
     return values
 
 
 def int_list(text):
     return [int(tok) for tok in text.split(",") if tok != ""]
+
+
+def distinct(convert):
+    """`convert` for a list in which no value repeats: a runner trains each
+    (variant, eta, seed) once."""
+    def distinct_list(text):
+        values = convert(text)
+        if len(set(values)) != len(values):
+            raise ValueError(text)
+        return values
+    return distinct_list
 
 
 def _assignment(convert):
@@ -511,7 +517,7 @@ def _build_parser():
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config leaf (dotted path)")
-        p.add_argument("--seed", type=int, help="random seed")
+        p.add_argument("--seed", type=int, required=True, help="random seed")
         p.add_argument("--out", required=True, help="output directory")
         if data:
             p.add_argument("--data", required=True, help="dataset directory")
@@ -566,7 +572,8 @@ def _build_parser():
     training_flags(p)
     p.add_argument("--etas", type=ascending_float_list, required=True,
                    help="comma-separated missing rates")
-    p.add_argument("--seeds", type=int_list, help="comma-separated seeds (default: --seed)")
+    p.add_argument("--seeds", type=distinct(int_list),
+                   help="comma-separated seeds (default: --seed)")
     p.add_argument("--complete-test", action="store_true",
                    help="evaluate on complete test data instead of masked")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -581,7 +588,7 @@ def _build_parser():
     common(p)
     training_flags(p)
     p.add_argument("--etas", type=ascending_float_list, default="0.2,0.4")
-    p.add_argument("--seeds", type=int_list)
+    p.add_argument("--seeds", type=distinct(int_list))
     p.add_argument("--lambda-co-fixed", dest="lambda_co_fixed", type=float, default=0.1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_ablate)
@@ -591,10 +598,11 @@ def _build_parser():
     training_flags(p)
     p.add_argument("--fix", type=_assignment(float), required=True, metavar="NAME=VALUE",
                    help="the fixed weight, e.g. lambda_al=0.1")
-    p.add_argument("--vary", type=_assignment(float_list), action="append", required=True,
-                   metavar="NAME=V1,V2,...", help="a varying weight grid (give twice)")
+    p.add_argument("--vary", type=_assignment(distinct(float_list)), action="append",
+                   required=True, metavar="NAME=V1,V2,...",
+                   help="a varying weight grid (give twice)")
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--seeds", type=int_list)
+    p.add_argument("--seeds", type=distinct(int_list))
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_surface)
 
@@ -605,8 +613,6 @@ def dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in STOCHASTIC and args.seed is None:
-            raise UsageError(f"clclsa {args.command}: --seed is required")
         config = _apply_sets(_load_config(getattr(args, "config", None)),
                              getattr(args, "set", None))
         for dest, value in vars(args).items():  # a config flag's dest is its leaf
@@ -617,10 +623,7 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (md.NumericError, tr.TrainingAborted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (md.NumericError, tr.TrainingAborted, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,33 +52,39 @@ def accuracy(pred, true) -> float:
 
 
 def confusion_matrix(pred, true, class_count: int) -> np.ndarray:
-    """counts[i, j] = subjects with true class i predicted as class j."""
+    """counts[i, j] = subjects with true class i predicted as class j; labels
+    may be of any numeric dtype but must be whole numbers in [0, class_count)."""
     pred, true = _as_labels(pred), _as_labels(true)
     for name, labels in (("predicted", pred), ("true", true)):
-        outside = labels[(labels < 0) | (labels >= class_count)]
+        outside = labels[(labels < 0) | (labels >= class_count) | (labels % 1 != 0)]
         if outside.size:
             raise ValueError(f"{name} label {outside[0]} is outside [0, {class_count})")
     counts = np.zeros((class_count, class_count), dtype=np.intp)
-    np.add.at(counts, (true, pred), 1)
+    np.add.at(counts, (true.astype(np.intp), pred.astype(np.intp)), 1)
     return counts
 
 
+def _class_f1(confusion) -> np.ndarray:
+    """One-vs-rest F1 = 2PR/(P+R) of each class of a confusion matrix; 0 by
+    convention for a class with no true positive."""
+    tp = np.diag(confusion)
+    hit = tp > 0
+    precision = tp[hit] / confusion.sum(axis=0)[hit]
+    recall = tp[hit] / confusion.sum(axis=1)[hit]
+    f1 = np.zeros(tp.size)
+    f1[hit] = 2.0 * precision * recall / (precision + recall)
+    return f1
+
+
 def f1_binary(pred, true, positive_class: int = 1) -> float:
-    """2PR/(P+R); 0 by convention when the denominator degenerates."""
+    """2PR/(P+R) of `positive_class` (0 or 1) over 0/1 labels; 0 by convention
+    when the denominator degenerates."""
+    if positive_class not in (0, 1):
+        raise ValueError(f"positive_class must be 0 or 1, got {positive_class!r}")
     pred, true = _as_labels(pred), _as_labels(true)
     if pred.shape != true.shape:
         raise ValueError("label vectors must share a length")
-    values = np.union1d(pred, true)
-    if values.size and not np.isin(values, (0, 1)).all():
-        raise ValueError(f"f1_binary expects 0/1 labels, saw {values.tolist()}")
-    tp = int(np.sum((pred == positive_class) & (true == positive_class)))
-    fp = int(np.sum((pred == positive_class) & (true != positive_class)))
-    fn = int(np.sum((pred != positive_class) & (true == positive_class)))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return float(2.0 * precision * recall / (precision + recall))
+    return float(_class_f1(confusion_matrix(pred, true, 2))[positive_class])
 
 
 def _average_ranks(scores):
@@ -118,28 +124,19 @@ def multiclass_f1(pred, true, class_count: int, mode: str = "macro") -> float:
 
     Classes absent from both vectors count as F1 = 0 in macro mode and carry
     zero weight in weighted mode, so the score does not depend on which
-    classes a prediction happens to contain.
+    classes a prediction happens to contain. A label outside
+    [0, class_count) is a ValueError.
     """
     if mode not in ("macro", "weighted"):
         raise ValueError("mode must be 'macro' or 'weighted'")
     pred, true = _as_labels(pred), _as_labels(true)
     if pred.shape != true.shape or pred.size == 0:
         raise ValueError("label vectors must share a nonzero length")
-    f1s = np.zeros(class_count)
-    supports = np.zeros(class_count)
-    for c in range(class_count):
-        tp = int(np.sum((pred == c) & (true == c)))
-        fp = int(np.sum((pred == c) & (true != c)))
-        fn = int(np.sum((pred != c) & (true == c)))
-        supports[c] = tp + fn
-        if tp > 0:
-            precision = tp / (tp + fp)
-            recall = tp / (tp + fn)
-            f1s[c] = 2.0 * precision * recall / (precision + recall)
+    confusion = confusion_matrix(pred, true, class_count)
+    f1s = _class_f1(confusion)
+    supports = confusion.sum(axis=1)
     if mode == "macro":
         return float(f1s.mean())
-    if supports.sum() == 0:
-        return 0.0
     return float((f1s * supports).sum() / supports.sum())
 
 
@@ -210,7 +207,7 @@ class TrialRow:
 
 
 def fit_and_score(train_ds: MultiOmicsDataset, test_ds: MultiOmicsDataset,
-                  model_config: ModelConfig, cfg: tr.TrainConfig, metadata=None) -> tuple:
+                  model_config: ModelConfig, cfg: tr.TrainConfig) -> tuple:
     """Train on one side and score on the other: (MetricsReport, ""), or
     (None, the reason) when training aborts."""
     try:
@@ -218,7 +215,7 @@ def fit_and_score(train_ds: MultiOmicsDataset, test_ds: MultiOmicsDataset,
     except tr.TrainingAborted as exc:
         return None, str(exc)
     yhat, _ = md.predict(test_ds.views, test_ds.mask, params)
-    return compute_report(yhat, test_ds.labels, test_ds.class_count, metadata=metadata), ""
+    return compute_report(yhat, test_ds.labels, test_ds.class_count), ""
 
 
 def run_trial(ds: MultiOmicsDataset, model_config: ModelConfig,
@@ -239,9 +236,7 @@ def run_trial(ds: MultiOmicsDataset, model_config: ModelConfig,
             test_ds = apply_missingness(
                 test_ds, MissingnessSpec(eta=eta, seed=derive_seed(seed, "mask-test")))
     cfg = replace(train_config, seed=seed)
-    report, detail = fit_and_score(train_ds, test_ds, model_config, cfg,
-                                   metadata={"dataset": dataset_name, "eta": eta,
-                                             "seed": seed, "variant": variant})
+    report, detail = fit_and_score(train_ds, test_ds, model_config, cfg)
     return TrialRow(dataset_name, variant, eta, seed, cfg.weights, report,
                     status="failed" if report is None else "ok", detail=detail)
 
@@ -303,7 +298,12 @@ def _run_trials(ds: MultiOmicsDataset, model_config: ModelConfig,
                 train_config: tr.TrainConfig, trials, mask_test: bool = True,
                 dataset_name: str = "dataset") -> SweepResult:
     """Run trials (variant, eta, seed, weights, views) in order; `views`, when
-    not None, restricts the dataset and the model to that view subset."""
+    not None, restricts the dataset and the model to that view subset. A
+    (variant, eta, seed) listed twice is rejected before any training."""
+    keys = [trial[:3] for trial in trials]
+    for i, (variant, eta, seed) in enumerate(keys):
+        if (variant, eta, seed) in keys[:i]:
+            raise ValueError(f"trial {variant!r} at eta {eta}, seed {seed} is listed twice")
     rows = []
     for variant, eta, seed, weights, views in trials:
         trial_ds, trial_config = ds, model_config
@@ -338,6 +338,12 @@ def partial_omics_run(ds: MultiOmicsDataset, view_subsets, model_config: ModelCo
     for subset in map(tuple, view_subsets):
         if len(subset) < 2:
             raise ValueError(f"view subset {subset} needs at least two views")
+        for i in subset:
+            if not 0 <= i < ds.n_views:
+                raise ValueError(f"view subset {subset} names view {i}, outside "
+                                 f"[0, {ds.n_views})")
+            if subset.count(i) > 1:
+                raise ValueError(f"view subset {subset} names view {i} twice")
         name = "+".join(ds.view_names[i] for i in subset)
         trials += [(name, eta, seed, train_config.weights, subset)
                    for eta in etas for seed in seeds]

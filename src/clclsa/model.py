@@ -19,6 +19,7 @@ that rewards mutual information between paired latents while an entropy bonus
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 import os
@@ -121,6 +122,10 @@ class ModelConfig:
             raise ValueError("dropout_p must be in [0, 1)")
         if self.completion not in ("cross", "zero"):
             raise ValueError("completion must be 'cross' or 'zero'")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
+        if not self.bn_eps > 0.0:
+            raise ValueError(f"bn_eps must be > 0, got {self.bn_eps}")
 
     @property
     def fused_dim(self) -> int:
@@ -173,10 +178,6 @@ class LossBreakdown:
 # Parameters
 
 
-def _linear_names(prefix):
-    return prefix + ".W", prefix + ".b"
-
-
 class CLCLSAParams:
     """All learnable tensors plus batch-norm running statistics.
 
@@ -197,14 +198,15 @@ class CLCLSAParams:
         bn_states = {}
 
         def linear(prefix, fan_in, fan_out):
-            wn, bn_ = _linear_names(prefix)
+            wn, bn_ = prefix + ".W", prefix + ".b"
             tensors[wn] = parameter(nm.init_params((fan_in, fan_out), rng.child(wn)), wn)
-            tensors[bn_] = parameter(nm.init_params((1, fan_out), rng.child(bn_), kind="bias"), bn_)
+            tensors[bn_] = parameter(np.zeros((1, fan_out)), bn_)
 
-        def norm(prefix, dim):
+        def norm(prefix, dim, routes=("",)):
             tensors[prefix + ".gamma"] = parameter(np.ones((1, dim)), prefix + ".gamma")
             tensors[prefix + ".beta"] = parameter(np.zeros((1, dim)), prefix + ".beta")
-            bn_states[prefix] = BatchNormState(dim, config.bn_momentum, config.bn_eps)
+            for route in routes:
+                bn_states[prefix + route] = BatchNormState(dim, config.bn_momentum, config.bn_eps)
 
         h1, h2 = config.ae_hidden
         for i in range(config.num_views):
@@ -218,15 +220,10 @@ class CLCLSAParams:
             norm(f"view{i}.enc1_bn", h1)
             linear(f"view{i}.enc2", h1, h2)
             linear(f"view{i}.dec1", h2, h1)
-            tensors[f"view{i}.dec1_bn.gamma"] = parameter(np.ones((1, h1)), f"view{i}.dec1_bn.gamma")
-            tensors[f"view{i}.dec1_bn.beta"] = parameter(np.zeros((1, h1)), f"view{i}.dec1_bn.beta")
             # the shared decoder serves one code distribution per source view;
             # running stats are kept per route so eval-mode normalization is
             # calibrated for whichever encoder fed it (weights stay shared)
-            for k in range(config.num_views):
-                if k != i:
-                    bn_states[f"view{i}.dec1_bn@src{k}"] = BatchNormState(
-                        h1, config.bn_momentum, config.bn_eps)
+            norm(f"view{i}.dec1_bn", h1, [f"@src{k}" for k in range(config.num_views) if k != i])
             linear(f"view{i}.dec2", h1, d)
         linear("classifier", config.fused_dim, config.num_classes)
         return cls(config, tensors, bn_states)
@@ -261,6 +258,23 @@ class ViewForward:
 def _plus(a, b):
     """Sum of two gradient contributions, either of which may be absent."""
     return b if a is None else a + b
+
+
+def _affine_backward(g, x, w: Tensor, b: Tensor, need_x: bool = True):
+    """Add the partials of x @ W + b for output gradient g to W and b; returns
+    d/dx if need_x."""
+    nm.accumulate_grad(w, x.T @ g)
+    nm.accumulate_grad(b, g.sum(axis=0, keepdims=True))
+    return g @ w.data.T if need_x else None
+
+
+def _softmax_backward(y, g):
+    """d/dx of the row softmax y = softmax(x) for output gradient g:
+    y (g - rowsum(g y)), in place in a fresh array."""
+    out = g * y
+    np.subtract(g, out.sum(axis=1, keepdims=True), out=out)
+    out *= y
+    return out
 
 
 VIEW_WEIGHTS = ("fatt.W", "fatt.b", "embed.W", "embed.b", "gate.W", "gate.b")
@@ -305,6 +319,7 @@ def forward_view(x, params: CLCLSAParams, view: int, mode: str,
     (sigmoid(affine), mul, affine, ReLU, dropout, sigmoid(affine), mul,
     softmax(affine)). `fatt` and `xhat` come back as constants.
     """
+    nm._check_mode(mode)
     x = as_tensor(x)
     fw, fb, ew, eb, gw, gb, aw, ab = (params[f"view{view}.{name}"]
                                       for name in VIEW_WEIGHTS + ("aux.W", "aux.b"))
@@ -315,39 +330,27 @@ def forward_view(x, params: CLCLSAParams, view: int, mode: str,
     def backward_fn(grads):
         gz, gm, gy = grads
         if gy is not None:
-            g = gy * yhat
-            np.subtract(gy, g.sum(axis=1, keepdims=True), out=g)
-            g *= yhat
-            nm.accumulate_grad(aw, zhat.T @ g)
-            nm.accumulate_grad(ab, g.sum(axis=0, keepdims=True))
-            gz = _plus(gz, g @ aw.data.T)
+            gz = _plus(gz, _affine_backward(_softmax_backward(yhat, gy), zhat, aw, ab))
         gx = None
         if gz is not None:
             gx = gz * matt
             gm = _plus(gm, (gz * xhat).sum(axis=1, keepdims=True))
         if gm is not None:
-            g = gm * matt * (1.0 - matt)
-            nm.accumulate_grad(gw, xhat.T @ g)
-            nm.accumulate_grad(gb, g.sum(axis=0, keepdims=True))
-            gx = _plus(gx, g @ gw.data.T)
+            gx = _plus(gx, _affine_backward(gm * matt * (1.0 - matt), xhat, gw, gb))
         if gx is None:
             return
         # gx is this hook's own array from here on
         if keep is not None:
             gx *= keep
         gx *= a2 > 0
-        g = gx
-        nm.accumulate_grad(ew, gated.T @ g)
-        nm.accumulate_grad(eb, g.sum(axis=0, keepdims=True))
-        gg = g @ ew.data.T
+        gg = _affine_backward(gx, gated, ew, eb)
         g = gg * xd
         g *= fatt
         g *= 1.0 - fatt
-        nm.accumulate_grad(fw, xd.T @ g)
-        nm.accumulate_grad(fb, g.sum(axis=0, keepdims=True))
-        if x.requires_grad:
+        g = _affine_backward(g, xd, fw, fb, x.requires_grad)
+        if g is not None:
             nm.accumulate_grad(x, gg * fatt)
-            nm.accumulate_grad(x, g @ fw.data.T)
+            nm.accumulate_grad(x, g)
 
     zhat_t, matt_t, yhat_t = nm.multi_output_op(
         (zhat, matt, yhat), (x, fw, fb, ew, eb, gw, gb, aw, ab), backward_fn)
@@ -405,9 +408,7 @@ def _bn_relu_backward(g, x, w, b, gamma, beta, saved, mode, need_x):
         g *= inv_std / n
     else:
         g *= gamma.data * inv_std
-    nm.accumulate_grad(w, x.T @ g)
-    nm.accumulate_grad(b, g.sum(axis=0, keepdims=True))
-    return g @ w.data.T if need_x else None
+    return _affine_backward(g, x, w, b, need_x)
 
 
 def _translate(z, source: int, target: int, params: CLCLSAParams, mode: str, stats):
@@ -432,13 +433,11 @@ def _translate(z, source: int, target: int, params: CLCLSAParams, mode: str, sta
     h3, saved3 = _bn_relu(code, *dec1, stats[f"{dec}dec1_bn@src{source}"], mode)
 
     def backward(g, need_z):
-        nm.accumulate_grad(dec2_w, h3.T @ g)
-        nm.accumulate_grad(dec2_b, g.sum(axis=0, keepdims=True))
-        g = _bn_relu_backward(g @ dec2_w.data.T, code, *dec1, saved3, mode, True)
+        g = _affine_backward(g, h3, dec2_w, dec2_b)
+        g = _bn_relu_backward(g, code, *dec1, saved3, mode, True)
         g *= a2 > 0
-        nm.accumulate_grad(enc2_w, h1.T @ g)
-        nm.accumulate_grad(enc2_b, g.sum(axis=0, keepdims=True))
-        return _bn_relu_backward(g @ enc2_w.data.T, z, *enc1, saved1, mode, need_z)
+        g = _affine_backward(g, h1, enc2_w, enc2_b)
+        return _bn_relu_backward(g, z, *enc1, saved1, mode, need_z)
 
     return h3 @ dec2_w.data + dec2_b.data, weights, backward
 
@@ -461,8 +460,7 @@ def cross_predict(z, source: int, target: int, params: CLCLSAParams, mode: str,
     """
     if source == target:
         raise PairError(f"cross_predict needs distinct views, got {source} -> {target}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    nm._check_mode(mode)
     z = as_tensor(z)
     stats = params.bn_states if bn_stats is None else bn_stats
     out, weights, back = _translate(z.data, source, target, params, mode, stats)
@@ -576,7 +574,7 @@ def complete_missing(zhats, mask, params: CLCLSAParams):
 
 @dataclass
 class ForwardCache:
-    """Per-batch intermediates: gates, latents, classifier outputs, provenance.
+    """Per-batch intermediates: view gates, latents, classifier outputs, provenance.
 
     Per-view fields hold rows for observed subjects only (masked cells are
     never read); `obs_idx[i]` maps those rows back to subject indices. The
@@ -586,8 +584,6 @@ class ForwardCache:
     """
 
     obs_idx: list
-    fatt: list
-    xhat: list
     matt: list
     zhat_obs: list
     yhat_view: list
@@ -626,6 +622,7 @@ def _check_inputs(views, mask, config: ModelConfig):
 
 def forward_full(views, mask, params: CLCLSAParams, mode: str, rngs=None) -> ForwardCache:
     """Run every view, complete missing latents, fuse, and classify."""
+    nm._check_mode(mode)
     views, mask = _check_inputs(views, mask, params.config)
     per_view = []
     obs_indices = []
@@ -639,8 +636,6 @@ def forward_full(views, mask, params: CLCLSAParams, mode: str, rngs=None) -> For
     yhat = softmax_rows(affine(fused, params["classifier.W"], params["classifier.b"]))
     return ForwardCache(
         obs_idx=obs_indices,
-        fatt=[vf.fatt for vf in per_view],
-        xhat=[vf.xhat for vf in per_view],
         matt=[vf.matt for vf in per_view],
         zhat_obs=[vf.zhat for vf in per_view],
         yhat_view=[vf.yhat for vf in per_view],
@@ -653,6 +648,12 @@ def forward_full(views, mask, params: CLCLSAParams, mode: str, rngs=None) -> For
 
 # ---------------------------------------------------------------------------
 # Losses
+
+
+def _sum_terms(terms) -> Tensor:
+    """The loss terms added left to right; constant 0 when there are none."""
+    terms = list(terms)
+    return functools.reduce(nm.add, terms) if terms else constant(0.0)
 
 
 def _check_labels(labels, num_classes, n):
@@ -709,7 +710,7 @@ def loss_auxiliary(matts, yhat_views, obs_indices, labels, reduction: str = "mea
     optimizer sees). Each view's term is one node.
     """
     labels = np.asarray(labels)
-    total = None
+    terms = []
     for i, (matt, yhat, obs) in enumerate(zip(matts, yhat_views, obs_indices)):
         if len(obs) == 0:
             continue
@@ -719,13 +720,20 @@ def loss_auxiliary(matts, yhat_views, obs_indices, labels, reduction: str = "mea
             conf = np.asarray(conf_targets[i], dtype=np.float64).reshape(-1, 1)
         else:
             conf = yhat.data.max(axis=1, keepdims=True)
-        term = _auxiliary_term(matt, yhat, y_v, conf, reduction)
-        total = term if total is None else nm.add(total, term)
-    return total if total is not None else constant(0.0)
+        terms.append(_auxiliary_term(matt, yhat, y_v, conf, reduction))
+    return _sum_terms(terms)
 
 
-def _joint_subjects(mask, i, k):
-    return np.flatnonzero(mask[:, i] & mask[:, k])
+def _joint_pairs(mask, ordered: bool):
+    """(i, k, the subjects observed in both) for each ordered pair i != k, or
+    each unordered pair i < k, that at least two subjects share."""
+    m = mask.shape[1]
+    for i in range(m):
+        for k in range(0 if ordered else i + 1, m):
+            if k != i:
+                joint = np.flatnonzero(mask[:, i] & mask[:, k])
+                if joint.size >= 2:
+                    yield i, k, joint
 
 
 def _cross_omics_term(zhats, i: int, k: int, joint, params: CLCLSAParams, mode: str,
@@ -766,23 +774,12 @@ def loss_cross_omics(zhats, mask, params: CLCLSAParams, mode: str = "eval",
     norm needs two rows). Train mode updates the running statistics in
     `bn_stats` (default `params.bn_states`). Each pair's term is one node.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    nm._check_mode(mode)
     mask = np.asarray(mask, dtype=bool)
     zhats = [as_tensor(z) for z in zhats]
     stats = params.bn_states if bn_stats is None else bn_stats
-    m = mask.shape[1]
-    total = None
-    for i in range(m):
-        for k in range(m):
-            if i == k:
-                continue
-            joint = _joint_subjects(mask, i, k)
-            if joint.size < 2:
-                continue
-            term = _cross_omics_term(zhats, i, k, joint, params, mode, reduction, stats)
-            total = term if total is None else nm.add(total, term)
-    return total if total is not None else constant(0.0)
+    return _sum_terms(_cross_omics_term(zhats, i, k, joint, params, mode, reduction, stats)
+                      for i, k, joint in _joint_pairs(mask, ordered=True))
 
 
 def joint_distribution(z_i, z_k, rows=None) -> Tensor:
@@ -818,11 +815,9 @@ def joint_distribution(z_i, z_k, rows=None) -> Tensor:
         g = (g - (g * p).sum()) / s
         # z_k first: the op-by-op record reaches its softmax before z_i's
         if z_k.requires_grad:
-            gb = (a @ g) / n
-            add(z_k, b * (gb - (gb * b).sum(axis=1, keepdims=True)))
+            add(z_k, _softmax_backward(b, (a @ g) / n))
         if z_i.requires_grad:
-            ga = (b @ g.T) / n
-            add(z_i, a * (ga - (ga * a).sum(axis=1, keepdims=True)))
+            add(z_i, _softmax_backward(a, (b @ g.T) / n))
 
     return nm.custom_op(p, (z_i, z_k), backward_fn)
 
@@ -876,17 +871,9 @@ def loss_contrastive(zhats, mask, alpha: float) -> Tensor:
     """
     mask = np.asarray(mask, dtype=bool)
     zhats = [as_tensor(z) for z in zhats]
-    m = mask.shape[1]
-    total = None
-    for i in range(m):
-        for k in range(i + 1, m):
-            joint = _joint_subjects(mask, i, k)
-            if joint.size < 2:
-                continue
-            p = joint_distribution(zhats[i], zhats[k], joint)
-            term = scale(loss_contrastive_pair(p, alpha), 2.0)
-            total = term if total is None else nm.add(total, term)
-    return total if total is not None else constant(0.0)
+    return _sum_terms(
+        scale(loss_contrastive_pair(joint_distribution(zhats[i], zhats[k], joint), alpha), 2.0)
+        for i, k, joint in _joint_pairs(mask, ordered=False))
 
 
 def total_loss(l_clf, l_al, l_co, l_cl, weights: LossWeights):
@@ -932,6 +919,7 @@ def build_objective(views, mask, labels, params: CLCLSAParams, weights: LossWeig
     statistics; `train.train` commits the staged statistics only once the
     step's loss and gradients are finite.
     """
+    nm._check_mode(mode)
     mask = np.asarray(mask, dtype=bool)
     labels = np.asarray(labels)
     stats = params.bn_states

@@ -829,12 +829,8 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         p[lo:hi] -= b
 
 
-def init_params(shape, rng: RngStream, kind: str = "weight") -> np.ndarray:
-    """Fan-based uniform weight init in [-s, s], s = sqrt(6/(fan_in+fan_out)); biases zero."""
+def init_params(shape, rng: RngStream) -> np.ndarray:
+    """Fan-based uniform weight init in [-s, s], s = sqrt(6/(fan_in+fan_out))."""
     rows, cols = int(shape[0]), int(shape[1])
-    if kind == "bias":
-        return np.zeros((rows, cols))
-    if kind != "weight":
-        raise ValueError(f"kind must be 'weight' or 'bias', got {kind!r}")
     s = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(rows, cols, -s, s)

@@ -76,7 +76,7 @@ class TestSeedContract:
         assert "--seed" in capsys.readouterr().err
 
     def test_every_stochastic_subcommand_requires_seed(self, capsys):
-        for command in sorted(cli.STOCHASTIC):
+        for command in ("ablate", "grid", "mask", "surface", "sweep", "synth", "train"):
             code = run([command, "--out", "/tmp/nowhere", "--data", "/tmp/nowhere",
                         "--etas", "0.1", "--fix", "lambda_al=0.1",
                         "--vary", "lambda_co=0.1", "--vary", "lambda_cl=0.1",
@@ -364,6 +364,38 @@ class TestUsageErrors:
 
 
 SURFACE_AXES = ["--fix", "lambda_al=0.1", "--vary", "lambda_co=0.1", "--vary", "lambda_cl=0.1"]
+
+
+class TestBatchNormSettings:
+    @pytest.mark.parametrize("setting", ["model.bn_eps=-1", "model.bn_momentum=5"])
+    def test_rejected_before_training(self, tmp_path, synth_dir, capsys, monkeypatch,
+                                      setting):
+        monkeypatch.setattr(tr, "train", raising_stub("train"))
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(synth_dir), "--seed", "1", "--out", str(out),
+                    "--set", setting]) == 1
+        assert setting.split(".")[1].split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRepeatedRunValues:
+    @pytest.mark.parametrize("flags", [
+        ["sweep", "--etas", "0.2", "--seeds", "0,1,0"],
+        ["sweep", "--etas", "0.2,0.2"],
+        ["ablate", "--seeds", "3,3"],
+        ["ablate", "--etas", "0.2,0.4,0.4"],
+        ["surface", "--eta", "0.2", *SURFACE_AXES[:4], "--vary", "lambda_cl=0.1,0.1"],
+        ["surface", "--eta", "0.2", *SURFACE_AXES, "--seeds", "1,1"],
+    ], ids=["sweep_seeds", "sweep_etas", "ablate_seeds", "ablate_etas", "surface_vary",
+            "surface_seeds"])
+    def test_usage_error_before_any_training(self, tmp_path, synth_dir, capsys, monkeypatch,
+                                             flags):
+        # each repeat would train the same trial twice and count it twice in its point
+        monkeypatch.setattr(tr, "train", raising_stub("train"))
+        out = tmp_path / "out"
+        assert run([*flags, "--data", str(synth_dir), "--seed", "1", "--out", str(out)]) == 1
+        assert "invalid" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunValuesRejectedBeforeTraining:

@@ -49,6 +49,11 @@ class TestF1Binary:
         with pytest.raises(ValueError):
             ev.f1_binary([0, 2], [0, 1])
 
+    @pytest.mark.parametrize("positive_class", [2, -1])
+    def test_positive_class_outside_binary_rejected(self, positive_class):
+        with pytest.raises(ValueError, match=f"positive_class must be 0 or 1, got {positive_class}"):
+            ev.f1_binary([0, 1], [0, 1], positive_class=positive_class)
+
 
 class TestAucBinary:
     def test_perfect_separation(self):
@@ -99,6 +104,22 @@ class TestMulticlassF1:
             ev.confusion_matrix([0, -1, 1], [0, 1, 1], 2)
         with pytest.raises(ValueError, match=r"true label 2 is outside \[0, 2\)"):
             ev.confusion_matrix([0, 1, 1], [0, 2, 1], 2)
+
+    @pytest.mark.parametrize("pred, true, message", [
+        ([0, 3, 1], [0, 1, 2], r"predicted label 3 is outside \[0, 3\)"),
+        ([0, 1, 2], [0, -1, 2], r"true label -1 is outside \[0, 3\)"),
+        ([0, 0.5, 2], [0, 1, 2], r"predicted label 0.5 is outside \[0, 3\)"),
+    ])
+    def test_labels_outside_the_classes_rejected(self, pred, true, message):
+        for mode in ("macro", "weighted"):
+            with pytest.raises(ValueError, match=message):
+                ev.multiclass_f1(pred, true, 3, mode)
+
+    def test_whole_number_float_labels_count_as_their_classes(self):
+        pred, true = np.array([0, 1, 2, 1]), np.array([0, 1, 1, 1])
+        for mode in ("macro", "weighted"):
+            assert (ev.multiclass_f1(pred.astype(float), true.astype(float), 3, mode)
+                    == ev.multiclass_f1(pred, true, 3, mode))
 
     def test_matches_confusion_matrix_oracle(self):
         rng = np.random.default_rng(3)
@@ -289,6 +310,32 @@ class TestValuesCheckedBeforeTraining:
     ], ids=["sweep_eta", "sweep_negative_eta", "ablation_eta", "surface_weight",
             "surface_eta", "partial_singleton"])
     def test_bad_last_value_raises_before_any_training(self, monkeypatch, runner, offending):
+        ds, model_cfg, train_cfg = fast_runner_setup()
+        monkeypatch.setattr(tr, "train", raising_stub("train"))
+        with pytest.raises(ValueError) as info:
+            runner(ds, model_cfg, train_cfg)
+        assert offending in str(info.value)
+
+
+class TestTrialListsCheckedBeforeTraining:
+    @pytest.mark.parametrize("runner, offending", [
+        (lambda ds, m, t: ev.ablation_run(
+            ds, ev.AblationSpec(variants=("plain", "plain"), etas=(0.2,), seeds=(0,)), m, t),
+         "'plain' at eta 0.2, seed 0 is listed twice"),
+        (lambda ds, m, t: ev.partial_omics_run(ds, [(0, 1), (0, 1)], m, t, [0.0], [0]),
+         "'view0+view1' at eta 0.0, seed 0 is listed twice"),
+        (lambda ds, m, t: ev.missing_rate_sweep(ds, m, t, [0.2], [0, 1, 0]),
+         "at eta 0.2, seed 0 is listed twice"),
+        (lambda ds, m, t: ev.partial_omics_run(ds, [(0, 0, 1)], m, t, [0.0], [0]),
+         "view subset (0, 0, 1) names view 0 twice"),
+        (lambda ds, m, t: ev.partial_omics_run(ds, [(0, 1), (0, 5)], m, t, [0.0], [0]),
+         "view subset (0, 5) names view 5, outside [0, 3)"),
+        (lambda ds, m, t: ev.partial_omics_run(ds, [(-1, 1)], m, t, [0.0], [0]),
+         "view subset (-1, 1) names view -1, outside [0, 3)"),
+    ], ids=["ablation_variant_twice", "partial_subset_twice", "sweep_seed_twice",
+            "partial_view_twice", "partial_view_out_of_range", "partial_negative_view"])
+    def test_duplicate_or_out_of_range_trial_raises_before_any_training(
+            self, monkeypatch, runner, offending):
         ds, model_cfg, train_cfg = fast_runner_setup()
         monkeypatch.setattr(tr, "train", raising_stub("train"))
         with pytest.raises(ValueError) as info:

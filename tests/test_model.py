@@ -223,6 +223,41 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             md.ModelConfig(1, (4,), (3,), 2)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("bn_momentum", 5.0), ("bn_momentum", -0.1), ("bn_momentum", float("nan")),
+        ("bn_eps", -1.0), ("bn_eps", 0.0), ("bn_eps", float("nan"))])
+    def test_batch_norm_setting_outside_its_range_rejected(self, setting, value):
+        # either setting out of range makes predict return NaN probabilities
+        with pytest.raises(ValueError, match=setting):
+            replace(TINY, **{setting: value})
+
+    def test_batch_norm_settings_at_their_bounds_accepted(self):
+        for momentum in (0.0, 1.0):
+            replace(TINY, bn_momentum=momentum, bn_eps=1e-300)
+
+
+MODE_ENTRY_POINTS = [
+    pytest.param(lambda mode: md.forward_view(nm.constant(tiny_views()[0]), tiny_params(), 0,
+                                              mode), id="forward_view"),
+    pytest.param(lambda mode: md.forward_full(tiny_views(), MASK_MIXED, tiny_params(), mode),
+                 id="forward_full"),
+    pytest.param(lambda mode: md.build_objective(tiny_views(), MASK_MIXED, [0, 1, 0, 1, 0],
+                                                 tiny_params(), md.LossWeights(),
+                                                 mode=mode), id="build_objective"),
+    pytest.param(lambda mode: md.cross_predict(nm.constant(np.ones((2, 4))), 0, 1,
+                                               tiny_params(), mode), id="cross_predict"),
+    pytest.param(lambda mode: md.loss_cross_omics([np.ones((5, 4))] * 3, MASK_MIXED,
+                                                  tiny_params(), mode), id="loss_cross_omics"),
+]
+
+
+@pytest.mark.parametrize("entry", MODE_ENTRY_POINTS)
+@pytest.mark.parametrize("mode", ["Train", "trian", "EVAL"])
+def test_unknown_mode_rejected(entry, mode):
+    # unchecked, "Train" would run as eval and a misspelt mode would still give a loss
+    with pytest.raises(ValueError, match="mode must be 'train' or 'eval'"):
+        entry(mode)
+
 
 class TestForwardView:
     def test_zero_feature_attention_halves_input(self):

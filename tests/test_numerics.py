@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clclsa import model as md
 from clclsa import numerics as nm
 
 
@@ -473,8 +474,12 @@ class TestAdam:
 
 class TestInitParams:
     def test_bias_is_zero(self):
-        out = nm.init_params((1, 7), nm.RngStream(0, "b"), kind="bias")
-        np.testing.assert_array_equal(out, np.zeros((1, 7)))
+        config = md.ModelConfig(3, (6, 6, 6), (4, 4, 4), 2, ae_hidden=(4, 3))
+        biases = [t.data for name, t in md.CLCLSAParams.init_random(config, 0).tensors().items()
+                  if name.endswith(".b")]
+        assert len(biases) == 3 * 8 + 1  # eight linear layers per view, one classifier
+        for b in biases:
+            np.testing.assert_array_equal(b, np.zeros_like(b))
 
     def test_bounds_and_mean(self):
         out = nm.init_params((100, 100), nm.RngStream(1, "w"))
