@@ -45,7 +45,7 @@ print("completed entries per view:", cache.provenance.sum(axis=0).tolist())
 
 print("\n== checkpoints round-trip exactly ==")
 with tempfile.TemporaryDirectory() as out:
-    path = f"{out}/checkpoint.json"
+    path = f"{out}/checkpoint.ckpt"
     model.save_checkpoint(path, params)
     reloaded = model.load_checkpoint(path)
     again, _ = model.predict(test_ds.views, test_ds.mask, reloaded)

@@ -363,7 +363,7 @@ def _cmd_train(args, config):
     ds, model_config, train_config, resolved = _setup(args, config)
     out = _out_dir(args)
     checkpoint, epochs, config_path = (os.path.join(out, name) for name in
-                                       ("checkpoint.json", "epochs.csv", "config.json"))
+                                       ("checkpoint.ckpt", "epochs.csv", "config.json"))
     with open(config_path, "w") as fh:
         json.dump(resolved, fh, indent=2)
     aborted = extra = None

@@ -178,6 +178,40 @@ class LossBreakdown:
 # Parameters
 
 
+def param_layout(config: ModelConfig):
+    """The parameters a config defines: ([(tensor name, shape)], [(batch-norm
+    state name, width)]), in the order of `CLCLSAParams.tensors()` and
+    `bn_states`, which is also the order of a checkpoint's payload."""
+    shapes, widths = [], []
+
+    def linear(prefix, fan_in, fan_out):
+        shapes.extend([(prefix + ".W", (fan_in, fan_out)), (prefix + ".b", (1, fan_out))])
+
+    def norm(prefix, dim, routes=("",)):
+        shapes.extend([(prefix + ".gamma", (1, dim)), (prefix + ".beta", (1, dim))])
+        widths.extend((prefix + route, dim) for route in routes)
+
+    h1, h2 = config.ae_hidden
+    for i in range(config.num_views):
+        v = config.input_dims[i]
+        d = config.embed_dims[i]
+        linear(f"view{i}.fatt", v, v)
+        linear(f"view{i}.embed", v, d)
+        linear(f"view{i}.gate", d, 1)
+        linear(f"view{i}.aux", d, config.num_classes)
+        linear(f"view{i}.enc1", d, h1)
+        norm(f"view{i}.enc1_bn", h1)
+        linear(f"view{i}.enc2", h1, h2)
+        linear(f"view{i}.dec1", h2, h1)
+        # the shared decoder serves one code distribution per source view;
+        # running stats are kept per route so eval-mode normalization is
+        # calibrated for whichever encoder fed it (weights stay shared)
+        norm(f"view{i}.dec1_bn", h1, [f"@src{k}" for k in range(config.num_views) if k != i])
+        linear(f"view{i}.dec2", h1, d)
+    linear("classifier", config.fused_dim, config.num_classes)
+    return shapes, widths
+
+
 class CLCLSAParams:
     """All learnable tensors plus batch-norm running statistics.
 
@@ -193,40 +227,19 @@ class CLCLSAParams:
 
     @classmethod
     def init_random(cls, config: ModelConfig, seed: int) -> "CLCLSAParams":
+        """Weights from the "init" stream's child named after each weight,
+        zero biases and betas, unit gammas, and fresh running statistics."""
         rng = RngStream(seed, "init")
+        shapes, widths = param_layout(config)
         tensors: "OrderedDict[str, Tensor]" = OrderedDict()
-        bn_states = {}
-
-        def linear(prefix, fan_in, fan_out):
-            wn, bn_ = prefix + ".W", prefix + ".b"
-            tensors[wn] = parameter(nm.init_params((fan_in, fan_out), rng.child(wn)), wn)
-            tensors[bn_] = parameter(np.zeros((1, fan_out)), bn_)
-
-        def norm(prefix, dim, routes=("",)):
-            tensors[prefix + ".gamma"] = parameter(np.ones((1, dim)), prefix + ".gamma")
-            tensors[prefix + ".beta"] = parameter(np.zeros((1, dim)), prefix + ".beta")
-            for route in routes:
-                bn_states[prefix + route] = BatchNormState(dim, config.bn_momentum, config.bn_eps)
-
-        h1, h2 = config.ae_hidden
-        for i in range(config.num_views):
-            v = config.input_dims[i]
-            d = config.embed_dims[i]
-            linear(f"view{i}.fatt", v, v)
-            linear(f"view{i}.embed", v, d)
-            linear(f"view{i}.gate", d, 1)
-            linear(f"view{i}.aux", d, config.num_classes)
-            linear(f"view{i}.enc1", d, h1)
-            norm(f"view{i}.enc1_bn", h1)
-            linear(f"view{i}.enc2", h1, h2)
-            linear(f"view{i}.dec1", h2, h1)
-            # the shared decoder serves one code distribution per source view;
-            # running stats are kept per route so eval-mode normalization is
-            # calibrated for whichever encoder fed it (weights stay shared)
-            norm(f"view{i}.dec1_bn", h1, [f"@src{k}" for k in range(config.num_views) if k != i])
-            linear(f"view{i}.dec2", h1, d)
-        linear("classifier", config.fused_dim, config.num_classes)
-        return cls(config, tensors, bn_states)
+        for name, shape in shapes:
+            kind = name.rsplit(".", 1)[1]
+            if kind == "W":
+                data = nm.init_params(shape, rng.child(name))
+            else:
+                data = np.ones(shape) if kind == "gamma" else np.zeros(shape)
+            tensors[name] = parameter(data, name)
+        return cls(config, tensors, {name: BatchNormState(w) for name, w in widths})
 
     def tensors(self) -> "OrderedDict[str, Tensor]":
         return self._tensors
@@ -358,8 +371,9 @@ def forward_view(x, params: CLCLSAParams, view: int, mode: str,
                        yhat=yhat_t)
 
 
-def _bn_relu(x, w, b, gamma, beta, state, mode):
-    """affine -> batch norm -> ReLU on arrays, with `numerics.batch_norm`'s arithmetic.
+def _bn_relu(x, w, b, gamma, beta, state, mode, config: ModelConfig):
+    """affine -> batch norm -> ReLU on arrays, with `numerics.batch_norm`'s arithmetic
+    at `config.bn_momentum` and `config.bn_eps`.
 
     Train mode normalizes by batch statistics and updates `state`; eval mode
     normalizes by its running statistics. Returns the output and the arrays
@@ -374,12 +388,12 @@ def _bn_relu(x, w, b, gamma, beta, state, mode):
         mu = xhat.sum(axis=0, keepdims=True) / n
         xhat -= mu
         var = (xhat * xhat).sum(axis=0, keepdims=True) / n
-        inv_std = 1.0 / np.sqrt(var + state.eps)
-        m = state.momentum
+        inv_std = 1.0 / np.sqrt(var + config.bn_eps)
+        m = config.bn_momentum
         state.running_mean = (1.0 - m) * state.running_mean + m * mu
         state.running_var = (1.0 - m) * state.running_var + m * var
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + config.bn_eps)
         xhat -= state.running_mean
     xhat *= inv_std
     y = xhat * gamma.data
@@ -427,10 +441,11 @@ def _translate(z, source: int, target: int, params: CLCLSAParams, mode: str, sta
     if z.shape[1] != enc1[0].rows:
         raise nm.ShapeError(
             f"cross_predict: view {source} latents are {enc1[0].rows} wide, got {z.shape[1]}")
-    h1, saved1 = _bn_relu(z, *enc1, stats[enc + "enc1_bn"], mode)
+    h1, saved1 = _bn_relu(z, *enc1, stats[enc + "enc1_bn"], mode, params.config)
     a2 = h1 @ enc2_w.data + enc2_b.data
     code = np.maximum(a2, 0.0)
-    h3, saved3 = _bn_relu(code, *dec1, stats[f"{dec}dec1_bn@src{source}"], mode)
+    h3, saved3 = _bn_relu(code, *dec1, stats[f"{dec}dec1_bn@src{source}"], mode,
+                          params.config)
 
     def backward(g, need_z):
         g = _affine_backward(g, h3, dec2_w, dec2_b)
@@ -986,11 +1001,9 @@ def latent_variances(cache: ForwardCache) -> list:
 # Checkpoints
 
 CHECKPOINT_FORMAT = "clclsa-checkpoint"
-CHECKPOINT_VERSION = 2
-
-
-def _to_base64(a) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")
+CHECKPOINT_VERSION = 3
+CHECKPOINT_DTYPE = "<f8"
+HEADER_LIMIT = 1 << 20  # bytes a format-3 header line may take, newline included
 
 
 def _from_base64(text, where, count=None) -> np.ndarray:
@@ -1002,40 +1015,71 @@ def _from_base64(text, where, count=None) -> np.ndarray:
     return np.frombuffer(raw, "<f8").astype(np.float64)
 
 
-def save_checkpoint(path, params: CLCLSAParams, extra=None) -> None:
-    """Write config + every named tensor + batch-norm stats as one JSON document.
+def _in_layout(where, config: ModelConfig, tensors: dict, stats: dict):
+    """`tensors` (name -> array) and `stats` (name -> (running mean, running
+    variance)) in `param_layout(config)`'s order, after checking them against
+    it: raises ValueError naming the first missing, extra or mis-shaped tensor,
+    then the first missing, extra or mis-sized batch-norm state."""
+    shapes, widths = param_layout(config)
+    expected = (("tensor", dict(shapes), {n: a.shape for n, a in tensors.items()}),
+                ("batch-norm state", {n: ((1, w), (1, w)) for n, w in widths},
+                 {n: (m.shape, v.shape) for n, (m, v) in stats.items()}))
+    for kind, want, got in expected:
+        for name, shape in want.items():
+            if name not in got:
+                raise ValueError(f"{where}: {kind} {name} is missing")
+            if got[name] != shape:
+                raise ValueError(f"{where}: {kind} {name} is shaped {got[name]}, "
+                                 f"its config gives {shape}")
+        for name in got:
+            if name not in want:
+                raise ValueError(f"{where}: {kind} {name} is not in its config's layout")
+    return ([(n, tensors[n]) for n, _ in shapes], [(n, stats[n]) for n, _ in widths])
 
-    Each tensor (row-major, with its shape) and each batch-norm running mean
-    and variance is a base64 string of its little-endian float64 bytes, so a
-    load reproduces every value bit for bit. The layout has no timestamps:
-    saving the same parameters twice writes the same bytes. The file is
-    written atomically.
+
+def _params(config: ModelConfig, tensors, stats) -> CLCLSAParams:
+    """Parameters holding the given arrays, from lists of (name, array) and
+    (name, (running mean, running variance)) in layout order."""
+    bn_states = {}
+    for name, (mean, var) in stats:
+        bn_states[name] = st = BatchNormState(mean.shape[1])
+        st.running_mean, st.running_var = mean, var
+    return CLCLSAParams(config, OrderedDict((n, parameter(a, n)) for n, a in tensors),
+                        bn_states)
+
+
+def save_checkpoint(path, params: CLCLSAParams, extra=None) -> None:
+    """Write a format-3 checkpoint: one JSON header line, then the raw values.
+
+    The header holds the format, version, config, dtype ("<f8") and the
+    optional `extra`. The little-endian float64 bytes of every tensor, then of
+    each batch-norm state's running mean and variance, follow it directly, in
+    the order `param_layout(params.config)` gives, so a load reproduces every
+    value bit for bit. There are no timestamps: saving the same parameters
+    twice writes the same bytes. Raises ValueError, before writing, for
+    parameters that do not fit their config's layout. The file is written
+    atomically.
     """
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "config": asdict(params.config),
-        "params": {
-            name: {"shape": list(t.data.shape), "values": _to_base64(t.data)}
-            for name, t in params.tensors().items()
-        },
-        "bn_states": {
-            name: {
-                "running_mean": _to_base64(st.running_mean),
-                "running_var": _to_base64(st.running_var),
-                "momentum": st.momentum,
-                "eps": st.eps,
-            }
-            for name, st in params.bn_states.items()
-        },
-    }
+    tensors, stats = _in_layout(path, params.config,
+                                {n: t.data for n, t in params.tensors().items()},
+                                {n: (st.running_mean, st.running_var)
+                                 for n, st in params.bn_states.items()})
+    header = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
+              "config": asdict(params.config), "dtype": CHECKPOINT_DTYPE}
     if extra:
-        doc["extra"] = extra
+        header["extra"] = extra
+    line = (json.dumps(header) + "\n").encode("ascii")
+    if len(line) > HEADER_LIMIT:
+        raise ValueError(f"{path}: checkpoint header takes {len(line)} bytes, "
+                         f"more than {HEADER_LIMIT}")
+    arrays = [a for _, a in tensors] + [a for _, pair in stats for a in pair]
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(line)
+            for a in arrays:
+                fh.write(np.ascontiguousarray(a, CHECKPOINT_DTYPE))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -1043,31 +1087,79 @@ def save_checkpoint(path, params: CLCLSAParams, extra=None) -> None:
         raise
 
 
-def load_checkpoint(path) -> CLCLSAParams:
-    """Read a checkpoint written by `save_checkpoint`.
+def _config(path, doc: dict) -> ModelConfig:
+    try:
+        return ModelConfig(**doc["config"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: checkpoint holds no valid model config ({exc})") from None
 
-    Raises ValueError for a file of another format, any version but the
-    current one, or a payload whose length does not match its shape.
+
+def _load_version2(path, doc: dict) -> CLCLSAParams:
+    """A version-2 document: each tensor (with its shape) and each running
+    mean and variance (with the state's momentum and eps) a base64 string of
+    its little-endian float64 bytes."""
+    config = _config(path, doc)
+    tensors, stats = {}, {}
+    try:
+        for name, entry in doc["params"].items():
+            shape = tuple(entry["shape"])
+            tensors[name] = _from_base64(entry["values"], f"{path}: {name}",
+                                         math.prod(shape)).reshape(shape)
+        for name, entry in doc["bn_states"].items():
+            settings = (entry["momentum"], entry["eps"])
+            if settings != (config.bn_momentum, config.bn_eps):
+                raise ValueError(
+                    f"{path}: batch-norm state {name} has momentum and eps {settings}, "
+                    f"its config {(config.bn_momentum, config.bn_eps)}")
+            mean = _from_base64(entry["running_mean"], f"{path}: {name}.running_mean")
+            var = _from_base64(entry["running_var"], f"{path}: {name}.running_var", mean.size)
+            stats[name] = (mean.reshape(1, -1), var.reshape(1, -1))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed version-2 checkpoint ({exc!r})") from None
+    return _params(config, *_in_layout(path, config, tensors, stats))
+
+
+def load_checkpoint(path) -> CLCLSAParams:
+    """Read a checkpoint written by `save_checkpoint`, or a version-2 one.
+
+    The payload is read into one float64 buffer, and every tensor and
+    running statistic is a writable view into it. Raises ValueError for a file
+    of another format, a version other than 2 or 3, a dtype other than
+    "<f8", a config that is not valid, or a payload that does not fit the
+    layout its config defines (see `param_layout`), naming the byte counts
+    for format 3 and the first mismatched tensor or state for version 2.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: checkpoint version {doc.get('version')!r} is not "
-                         f"supported (this build reads version {CHECKPOINT_VERSION})")
-    config = ModelConfig(**doc["config"])
-    tensors: "OrderedDict[str, Tensor]" = OrderedDict()
-    for name, entry in doc["params"].items():
-        shape = tuple(entry["shape"])
-        arr = _from_base64(entry["values"], f"{path}: {name}", math.prod(shape))
-        tensors[name] = parameter(arr.reshape(shape), name)
-    bn_states = {}
-    for name, entry in doc["bn_states"].items():
-        mean = _from_base64(entry["running_mean"], f"{path}: {name}.running_mean")
-        var = _from_base64(entry["running_var"], f"{path}: {name}.running_var", mean.size)
-        st = BatchNormState(mean.size, entry["momentum"], entry["eps"])
-        st.running_mean = mean.reshape(1, -1)
-        st.running_var = var.reshape(1, -1)
-        bn_states[name] = st
-    return CLCLSAParams(config, tensors, bn_states)
+    with open(path, "rb") as fh:
+        line = fh.readline(HEADER_LIMIT)
+        if not line.endswith(b"\n"):
+            line += fh.read()  # a version-2 checkpoint is one JSON document with no newline
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            doc = None
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+        version = doc.get("version")
+        if version == 2:
+            return _load_version2(path, doc)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: checkpoint version {version!r} is not supported "
+                             f"(this build reads versions 2 and {CHECKPOINT_VERSION})")
+        if doc.get("dtype") != CHECKPOINT_DTYPE:
+            raise ValueError(f"{path}: checkpoint dtype {doc.get('dtype')!r} is not "
+                             f"{CHECKPOINT_DTYPE!r}")
+        config = _config(path, doc)
+        shapes, widths = param_layout(config)
+        sizes = [shape for _, shape in shapes] + [(1, w) for _, w in widths for _ in (0, 1)]
+        count = sum(r * c for r, c in sizes)
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != 8 * count:
+            raise ValueError(f"{path}: payload holds {held} bytes, its config's layout "
+                             f"needs {8 * count}")
+        flat = np.empty(count, CHECKPOINT_DTYPE)
+        if fh.readinto(flat) != 8 * count:
+            raise ValueError(f"{path}: payload changed while it was read")
+    views = iter(nm._views(flat.astype(np.float64, copy=False), sizes))
+    tensors = [(name, next(views)) for name, _ in shapes]
+    stats = [(name, (next(views), next(views))) for name, _ in widths]
+    return _params(config, tensors, stats)

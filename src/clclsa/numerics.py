@@ -417,16 +417,18 @@ def dropout(a, p: float, mode: str, rng: RngStream) -> Tensor:
 
 
 class BatchNormState:
-    """Running statistics for one batch-norm layer (exponential moving average)."""
+    """Running statistics for one batch-norm layer (exponential moving average).
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
+    The momentum and eps that update and read them are `ModelConfig`'s, passed
+    to `batch_norm` and the model's fused nodes by their callers.
+    """
+
+    def __init__(self, dim: int):
         self.running_mean = np.zeros((1, dim))
         self.running_var = np.ones((1, dim))
-        self.momentum = float(momentum)
-        self.eps = float(eps)
 
     def copy(self) -> "BatchNormState":
-        st = BatchNormState(self.running_mean.shape[1], self.momentum, self.eps)
+        st = BatchNormState(self.running_mean.shape[1])
         st.running_mean = self.running_mean.copy()
         st.running_var = self.running_var.copy()
         return st
@@ -437,12 +439,14 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
-def batch_norm(x, gamma, beta, state: BatchNormState, mode: str) -> Tensor:
+def batch_norm(x, gamma, beta, state: BatchNormState, mode: str, *, momentum: float,
+               eps: float) -> Tensor:
     """Batch normalization over rows.
 
     Train mode normalizes by batch statistics (biased variance) and updates the
-    running statistics in `state`; eval mode normalizes by the running
-    statistics and leaves them untouched.
+    running statistics in `state` with weight `momentum` on the batch; eval
+    mode normalizes by the running statistics and leaves them untouched. `eps`
+    is added to the variance before its square root.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     _check_mode(mode)
@@ -456,11 +460,10 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str) -> Tensor:
             raise BatchSizeError(f"batch_norm needs at least 2 rows in train mode, got {n}")
         mu = x.data.mean(axis=0, keepdims=True)
         var = x.data.var(axis=0, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + state.eps)
+        inv_std = 1.0 / np.sqrt(var + eps)
         xhat = (x.data - mu) * inv_std
-        m = state.momentum
-        state.running_mean = (1.0 - m) * state.running_mean + m * mu
-        state.running_var = (1.0 - m) * state.running_var + m * var
+        state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mu
+        state.running_var = (1.0 - momentum) * state.running_var + momentum * var
 
         def backward_fn(out):
             g = out.grad
@@ -474,7 +477,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str) -> Tensor:
                     - xhat * (dxhat * xhat).sum(axis=0, keepdims=True)
                 ))
     else:
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + eps)
         xhat = (x.data - state.running_mean) * inv_std
 
         def backward_fn(out):

@@ -350,7 +350,7 @@ class TestCriterion9Determinism:
         masked_dir = tmp_path / "masked"
         metrics = tmp_path / "metrics.json"
         watched = [data_dir / "view0.csv", data_dir / "labels.csv",
-                   masked_dir / "mask.csv", run_dir / "checkpoint.json",
+                   masked_dir / "mask.csv", run_dir / "checkpoint.ckpt",
                    run_dir / "epochs.csv", metrics]
 
         def pipeline():
@@ -359,7 +359,7 @@ class TestCriterion9Determinism:
                                  "--seed", "9", "--out", str(masked_dir)]) == 0
             assert cli.dispatch(["train", "--data", str(masked_dir),
                                  "--out", str(run_dir), *train_args]) == 0
-            assert cli.dispatch(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+            assert cli.dispatch(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
                                  "--data", str(masked_dir), "--out", str(metrics)]) == 0
             return [path.read_bytes() for path in watched]
 

@@ -40,7 +40,7 @@ class TestSynthTrainEval:
         run_dir = tmp_path / "run"
         assert run(["train", "--data", str(synth_dir), "--out", str(run_dir),
                     *TRAIN_ARGS]) == 0
-        checkpoint = run_dir / "checkpoint.json"
+        checkpoint = run_dir / "checkpoint.ckpt"
         assert checkpoint.exists()
         assert (run_dir / "epochs.csv").exists()
         assert (run_dir / "run_manifest.json").exists()
@@ -102,8 +102,8 @@ class TestDeterminism:
             assert run(["train", "--data", str(synth_dir), "--out", str(run_dir),
                         *TRAIN_ARGS]) == 0
             outs.append(run_dir)
-        ck_a = (outs[0] / "checkpoint.json").read_bytes()
-        ck_b = (outs[1] / "checkpoint.json").read_bytes()
+        ck_a = (outs[0] / "checkpoint.ckpt").read_bytes()
+        ck_b = (outs[1] / "checkpoint.ckpt").read_bytes()
         assert ck_a == ck_b
         assert (outs[0] / "epochs.csv").read_bytes() == (outs[1] / "epochs.csv").read_bytes()
 
@@ -276,7 +276,7 @@ class TestErrorExitCodes:
                         "--set", "model.ae_hidden=[4,3]"])
         assert code == 2
         # the last-good checkpoint is still written
-        assert (run_dir / "checkpoint.json").exists()
+        assert (run_dir / "checkpoint.ckpt").exists()
         capsys.readouterr()
 
 
@@ -358,7 +358,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flag", [["--config", "f.json"], ["--set", "a=1"]],
                              ids=["config", "set"])
     def test_eval_takes_no_config(self, tmp_path, synth_dir, capsys, flag):
-        assert run(["eval", "--checkpoint", str(tmp_path / "ck.json"),
+        assert run(["eval", "--checkpoint", str(tmp_path / "ck.ckpt"),
                     "--data", str(synth_dir), *flag]) == 1
         capsys.readouterr()
 
@@ -444,7 +444,7 @@ class TestEvalCheckpointMatchesData:
         run_dir = tmp_path / "run"
         assert run(["train", "--data", str(four), "--out", str(run_dir), *TRAIN_ARGS]) == 0
         capsys.readouterr()
-        code = run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+        code = run(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
                     "--data", str(synth_dir)])
         assert code == 1
         err = capsys.readouterr().err
@@ -458,7 +458,7 @@ class TestEvalCheckpointMatchesData:
         assert run(["train", "--data", str(synth_dir), "--out", str(run_dir),
                     *TRAIN_ARGS]) == 0
         capsys.readouterr()
-        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
                     "--data", str(other)]) == 1
         assert "(6, 6, 6)" in capsys.readouterr().err
 
@@ -468,7 +468,7 @@ class TestEvalCheckpointMatchesData:
         assert run(["train", "--data", str(synth_dir), "--out", str(run_dir),
                     *TRAIN_ARGS]) == 0
         before = (run_dir / "run_manifest.json").read_bytes()
-        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+        assert run(["eval", "--checkpoint", str(run_dir / "checkpoint.ckpt"),
                     "--data", str(synth_dir), "--out", str(run_dir / "metrics.json")]) == 1
         assert "train run" in capsys.readouterr().err
         assert (run_dir / "run_manifest.json").read_bytes() == before
@@ -494,12 +494,12 @@ class TestManifestEnvironment:
         out = tmp_path / "train"
         assert run(["train", "--data", str(synth_dir), "--out", str(out), *TRAIN_ARGS]) == 0
         metrics = tmp_path / "eval" / "metrics.json"
-        assert run(["eval", "--checkpoint", str(out / "checkpoint.json"),
+        assert run(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
                     "--data", str(synth_dir), "--out", str(metrics)]) == 0
         eval_manifest = json.loads((metrics.parent / "run_manifest.json").read_text())
         assert eval_manifest["command"] == "eval"
         assert eval_manifest["artifacts"] == [str(metrics)]
-        assert str(out / "checkpoint.json") in eval_manifest["input_digests"]
+        assert str(out / "checkpoint.ckpt") in eval_manifest["input_digests"]
         for manifest_dir in (synth_dir, out, metrics.parent):
             env = json.loads((manifest_dir / "run_manifest.json").read_text())["environment"]
             assert set(env) == {"python", "numpy", "blas", "thread_env", "platform",

@@ -57,7 +57,8 @@ def tape_encode(z, view, params, mode, bn_stats):
     p = params
     h = nm.affine(z, p[f"view{view}.enc1.W"], p[f"view{view}.enc1.b"])
     h = nm.batch_norm(h, p[f"view{view}.enc1_bn.gamma"], p[f"view{view}.enc1_bn.beta"],
-                      bn_stats[f"view{view}.enc1_bn"], mode)
+                      bn_stats[f"view{view}.enc1_bn"], mode, momentum=p.config.bn_momentum,
+                      eps=p.config.bn_eps)
     h = nm.relu(h)
     h = nm.affine(h, p[f"view{view}.enc2.W"], p[f"view{view}.enc2.b"])
     return nm.relu(h)
@@ -67,7 +68,8 @@ def tape_decode(code, view, params, mode, bn_stats, source):
     p = params
     h = nm.affine(code, p[f"view{view}.dec1.W"], p[f"view{view}.dec1.b"])
     h = nm.batch_norm(h, p[f"view{view}.dec1_bn.gamma"], p[f"view{view}.dec1_bn.beta"],
-                      bn_stats[f"view{view}.dec1_bn@src{source}"], mode)
+                      bn_stats[f"view{view}.dec1_bn@src{source}"], mode,
+                      momentum=p.config.bn_momentum, eps=p.config.bn_eps)
     h = nm.relu(h)
     return nm.affine(h, p[f"view{view}.dec2.W"], p[f"view{view}.dec2.b"])
 
@@ -1388,15 +1390,47 @@ class TestLatentVariances:
         assert same_bits(got, [float(z.var(axis=0).mean()) for z in zs])
 
 
+def save_checkpoint_v2(path, params, extra=None):
+    """The version-2 writer, as `model.save_checkpoint` was before format 3: one
+    JSON document holding each tensor (with its shape) and each batch-norm
+    running mean and variance (with the config's momentum and eps) as a base64
+    string of its little-endian float64 bytes."""
+    def b64(a):
+        return base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")
+
+    config = params.config
+    doc = {
+        "format": "clclsa-checkpoint",
+        "version": 2,
+        "config": asdict(config),
+        "params": {name: {"shape": list(t.data.shape), "values": b64(t.data)}
+                   for name, t in params.tensors().items()},
+        "bn_states": {name: {"running_mean": b64(st.running_mean),
+                             "running_var": b64(st.running_var),
+                             "momentum": config.bn_momentum, "eps": config.bn_eps}
+                      for name, st in params.bn_states.items()},
+    }
+    if extra:
+        doc["extra"] = extra
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+WRITERS = pytest.mark.parametrize("write", [md.save_checkpoint, save_checkpoint_v2],
+                                  ids=["format3", "version2"])
+
+
+def header_and_payload(path):
+    with open(path, "rb") as fh:
+        return json.loads(fh.readline()), fh.read()
+
+
 class TestCheckpoint:
-    def test_round_trip_is_value_exact(self, tmp_path):
-        params = tiny_params(seed=12)
-        # give running stats non-trivial values
-        for st in params.bn_states.values():
-            st.running_mean += 0.123456789123456789
-            st.running_var *= 1.987654321
-        path = tmp_path / "ckpt.json"
-        md.save_checkpoint(path, params)
+    @WRITERS
+    def test_round_trip_is_value_exact(self, tmp_path, write):
+        params = stirred_stats(tiny_params(seed=12))
+        path = tmp_path / "ckpt"
+        write(path, params)
         loaded = md.load_checkpoint(path)
         assert loaded.config == params.config
         for name, t in params.tensors().items():
@@ -1405,20 +1439,27 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.bn_states[name].running_mean, st.running_mean)
             np.testing.assert_array_equal(loaded.bn_states[name].running_var, st.running_var)
 
-    def test_loaded_model_predicts_identically(self, tmp_path):
-        params = tiny_params(seed=13)
+    @WRITERS
+    def test_loaded_model_predicts_identically(self, tmp_path, write):
+        params = stirred_stats(tiny_params(seed=13))
         views = tiny_views()
-        path = tmp_path / "ckpt.json"
-        md.save_checkpoint(path, params)
+        path = tmp_path / "ckpt"
+        write(path, params)
         loaded = md.load_checkpoint(path)
         a, _ = md.predict(views, MASK_MIXED, params)
         b, _ = md.predict(views, MASK_MIXED, loaded)
-        np.testing.assert_array_equal(a, b)
+        assert same_bits(a, b)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text("{}")
         with pytest.raises(ValueError):
+            md.load_checkpoint(path)
+
+    def test_rejects_binary_junk_without_newline(self, tmp_path):
+        path = tmp_path / "junk"
+        path.write_bytes(bytes(range(256)).replace(b"\n", b"") * 40)
+        with pytest.raises(ValueError, match="is not a clclsa-checkpoint file"):
             md.load_checkpoint(path)
 
     def test_same_params_write_same_bytes(self, tmp_path):
@@ -1428,31 +1469,62 @@ class TestCheckpoint:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_document_layout(self, tmp_path):
-        params = tiny_params(seed=15)
-        path = tmp_path / "ckpt.json"
+        """A header line with no per-tensor entries, then every tensor's and
+        running statistic's little-endian float64 bytes in layout order."""
+        params = stirred_stats(tiny_params(seed=15))
+        path = tmp_path / "ckpt.ckpt"
         md.save_checkpoint(path, params, extra={"note": "x"})
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "clclsa-checkpoint" and doc["version"] == 2
-        assert md.ModelConfig(**doc["config"]) == params.config
-        assert doc["extra"] == {"note": "x"}
-        w = doc["params"]["view0.embed.W"]
-        assert w["shape"] == [6, 4]
-        np.testing.assert_array_equal(
-            np.frombuffer(base64.b64decode(w["values"]), "<f8").reshape(6, 4),
-            params["view0.embed.W"].data)
-        for entry in doc["bn_states"].values():
-            assert isinstance(entry["running_mean"], str)
-            assert isinstance(entry["running_var"], str)
+        header, payload = header_and_payload(path)
+        assert header == {"format": "clclsa-checkpoint", "version": 3,
+                          "config": json.loads(json.dumps(asdict(params.config))),
+                          "dtype": "<f8", "extra": {"note": "x"}}
+        assert md.ModelConfig(**header["config"]) == params.config
+        arrays = [t.data for t in params.tensors().values()] + [
+            a for s in params.bn_states.values() for a in (s.running_mean, s.running_var)]
+        assert payload == b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in arrays)
+        shapes, widths = md.param_layout(params.config)
+        assert [(n, t.data.shape) for n, t in params.tensors().items()] == shapes
+        assert [(n, s.running_mean.shape[1]) for n, s in params.bn_states.items()] == widths
+        assert ("view0.embed.W", (6, 4)) in shapes and ("view1.dec1_bn@src2", 4) in widths
 
-    def test_extreme_values_round_trip_bitwise(self, tmp_path):
+    def test_without_extra_the_header_has_no_extra(self, tmp_path):
+        path = tmp_path / "ckpt"
+        md.save_checkpoint(path, tiny_params())
+        assert "extra" not in header_and_payload(path)[0]
+
+    def test_loaded_values_are_writable_views_of_one_buffer(self, tmp_path):
+        path = tmp_path / "ckpt"
+        md.save_checkpoint(path, tiny_params())
+        loaded = md.load_checkpoint(path)
+        arrays = [t.data for t in loaded.tensors().values()] + [
+            a for s in loaded.bn_states.values() for a in (s.running_mean, s.running_var)]
+        buffer = arrays[0].base
+        assert buffer.size * 8 == len(header_and_payload(path)[1])
+        assert all(a.base is buffer and a.flags.writeable for a in arrays)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt"
+        params = tiny_params(seed=17)
+        md.save_checkpoint(path, params)
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew from an RngStream")
+
+        monkeypatch.setattr(md, "RngStream", no_stream)
+        monkeypatch.setattr(nm, "RngStream", no_stream)
+        loaded = md.load_checkpoint(path)
+        assert all(same_bits(loaded[n].data, t.data) for n, t in params.tensors().items())
+
+    @WRITERS
+    def test_extreme_values_round_trip_bitwise(self, tmp_path, write):
         extremes = np.array([-0.0, 5e-324, 1.7976931348623157e308, np.nextafter(1.0, 2.0)])
         params = tiny_params(seed=16)
         params["view1.fatt.W"].data.ravel()[:4] = extremes
         st = params.bn_states["view0.enc1_bn"]
         st.running_mean.ravel()[:4] = extremes
         st.running_var.ravel()[:4] = extremes[::-1]
-        path = tmp_path / "ckpt.json"
-        md.save_checkpoint(path, params)
+        path = tmp_path / "ckpt"
+        write(path, params)
         loaded = md.load_checkpoint(path)
         for name, t in params.tensors().items():
             np.testing.assert_array_equal(loaded[name].data.view(np.uint64), t.data.view(np.uint64))
@@ -1462,13 +1534,16 @@ class TestCheckpoint:
                               (loaded.bn_states[name].running_var, s.running_var)):
                 np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @WRITERS
     @given(small_problems())
-    def test_any_shapes_and_bit_patterns_round_trip(self, problem):
+    def test_any_shapes_and_bit_patterns_round_trip(self, write, problem):
         """Random architectures whose tensors and statistics hold arbitrary float64
-        bit patterns, quiet and signalling NaN payloads of both signs included."""
-        config, _, seed = problem
+        bit patterns, quiet and signalling NaN payloads of both signs included,
+        reload bit for bit and predict the same bits."""
+        config, mask, seed = problem
         params = md.CLCLSAParams.init_random(config, seed)
         rng = np.random.default_rng(seed)
+        views = [rng.normal(size=(mask.shape[0], d)) for d in config.input_dims]
         nans = np.array([0x7FF8000000000001, 0xFFF0000000000ABC, 0x7FF0000000000001,
                          0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
 
@@ -1483,18 +1558,20 @@ class TestCheckpoint:
             s.running_mean = arbitrary(s.running_mean.shape)
             s.running_var = arbitrary(s.running_var.shape)
         with tempfile.TemporaryDirectory() as directory:
-            path = os.path.join(directory, "ckpt.json")
-            md.save_checkpoint(path, params)
+            path = os.path.join(directory, "ckpt")
+            write(path, params)
             loaded = md.load_checkpoint(path)
         assert loaded.config == config
         assert list(loaded.tensors()) == list(params.tensors())
         for name, t in params.tensors().items():
             assert same_bits(loaded[name].data, t.data), name
-        assert loaded.bn_states.keys() == params.bn_states.keys()
+        assert list(loaded.bn_states) == list(params.bn_states)
         for name, s in params.bn_states.items():
             got = loaded.bn_states[name]
             assert same_bits(got.running_mean, s.running_mean), name
             assert same_bits(got.running_var, s.running_var), name
+        with np.errstate(all="ignore"):
+            assert same_bits(md.predict(views, mask, loaded)[0], md.predict(views, mask, params)[0])
 
     def test_rejects_non_object_json(self, tmp_path):
         path = tmp_path / "list.json"
@@ -1503,18 +1580,137 @@ class TestCheckpoint:
             md.load_checkpoint(path)
 
     @staticmethod
-    def edited_checkpoint(tmp_path, edit):
-        """A checkpoint of tiny_params() whose JSON document `edit` changed in place."""
+    def edited_checkpoint(tmp_path, edit, params=None):
+        """A version-2 checkpoint of `params` (default tiny_params()) whose JSON
+        document `edit` changed in place."""
         path = tmp_path / "ckpt.json"
-        md.save_checkpoint(path, tiny_params())
+        save_checkpoint_v2(path, tiny_params() if params is None else params)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
         return path
 
+    @staticmethod
+    def edited_header(tmp_path, edit, cut=0, tail=b""):
+        """A format-3 checkpoint of tiny_params() whose header `edit` changed
+        in place, with `cut` bytes taken off its payload and `tail` added."""
+        path = tmp_path / "ckpt.ckpt"
+        md.save_checkpoint(path, tiny_params())
+        header, payload = header_and_payload(path)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n"
+                         + payload[:len(payload) - cut] + tail)
+        return path
+
     def test_rejects_version_one(self, tmp_path):
         path = self.edited_checkpoint(tmp_path, lambda doc: doc.update(version=1))
         with pytest.raises(ValueError, match="version 1"):
+            md.load_checkpoint(path)
+
+    def test_rejects_unknown_format3_version(self, tmp_path):
+        path = self.edited_header(tmp_path, lambda header: header.update(version=4))
+        with pytest.raises(ValueError, match="version 4"):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", ["<f4", ">f8", None])
+    def test_rejects_other_dtypes(self, tmp_path, dtype):
+        path = self.edited_header(tmp_path, lambda header: header.update(dtype=dtype))
+        with pytest.raises(ValueError, match="dtype"):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [lambda h: h.pop("config"),
+                                      lambda h: h["config"].update(depth=2),
+                                      lambda h: h["config"].update(bn_eps=-1.0)],
+                             ids=["missing", "unknown_key", "invalid_value"])
+    def test_rejects_invalid_config(self, tmp_path, edit):
+        with pytest.raises(ValueError, match="config|bn_eps"):
+            md.load_checkpoint(self.edited_header(tmp_path, edit))
+
+    @pytest.mark.parametrize("cut, tail, held", [(8, b"", -8), (0, b"\0", 1)],
+                             ids=["8_bytes_short", "1_byte_long"])
+    def test_rejects_payload_of_wrong_length(self, tmp_path, cut, tail, held):
+        path = self.edited_header(tmp_path, lambda header: None, cut, tail)
+        params = tiny_params()
+        needed = 8 * sum(t.data.size for t in params.tensors().values()) + 8 * sum(
+            2 * s.running_mean.size for s in params.bn_states.values())
+        with pytest.raises(ValueError,
+                           match=f"payload holds {needed + held} bytes, .* needs {needed}$"):
+            md.load_checkpoint(path)
+
+    def test_rejects_format3_payload_missing_a_tensor(self, tmp_path):
+        """A payload without view1.enc1.W's values is short by exactly its bytes."""
+        params = tiny_params()
+        path = tmp_path / "ckpt.ckpt"
+        md.save_checkpoint(path, params)
+        header, payload = header_and_payload(path)
+        names = list(params.tensors())
+        start = 8 * sum(params[n].data.size for n in names[:names.index("view1.enc1.W")])
+        size = 8 * params["view1.enc1.W"].data.size
+        path.write_bytes(json.dumps(header).encode() + b"\n"
+                         + payload[:start] + payload[start + size:])
+        with pytest.raises(ValueError, match=f"holds {len(payload) - size} bytes, "
+                                             f".* needs {len(payload)}"):
+            md.load_checkpoint(path)
+
+    def drop_tensor(doc):
+        del doc["params"]["view1.enc1.W"]
+
+    def add_tensor(doc):
+        doc["params"]["junk"] = doc["params"]["classifier.b"]
+
+    def reshape_tensor(doc):
+        doc["params"]["classifier.W"]["shape"] = doc["params"]["classifier.W"]["shape"][::-1]
+
+    def drop_state(doc):
+        del doc["bn_states"]["view0.enc1_bn"]
+
+    def add_state(doc):
+        doc["bn_states"]["junk_bn"] = doc["bn_states"]["view0.enc1_bn"]
+
+    def resize_state(doc):
+        entry = doc["bn_states"]["view2.dec1_bn@src0"]
+        for key in ("running_mean", "running_var"):
+            entry[key] = base64.b64encode(base64.b64decode(entry[key])[:-8]).decode()
+
+    LAYOUT_EDITS = [(drop_tensor, "tensor view1.enc1.W is missing"),
+                    (add_tensor, "tensor junk is not in its config's layout"),
+                    (reshape_tensor, r"tensor classifier.W is shaped \(2, 12\), .* \(12, 2\)"),
+                    (drop_state, "batch-norm state view0.enc1_bn is missing"),
+                    (add_state, "batch-norm state junk_bn is not in its config's layout"),
+                    (resize_state, r"batch-norm state view2.dec1_bn@src0 is shaped "
+                                   r"\(\(1, 3\), \(1, 3\)\), .* \(\(1, 4\), \(1, 4\)\)")]
+
+    @pytest.mark.parametrize("edit, message", LAYOUT_EDITS,
+                             ids=[edit.__name__ for edit, _ in LAYOUT_EDITS])
+    def test_version2_rejects_layout_mismatch(self, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=message):
+            md.load_checkpoint(self.edited_checkpoint(tmp_path, edit))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.tensors().pop("view1.enc1.W"), "tensor view1.enc1.W is missing"),
+        (lambda p: p.bn_states.pop("view0.enc1_bn"), "state view0.enc1_bn is missing"),
+        (lambda p: p.tensors().update(junk=p["classifier.b"]), "tensor junk is not in"),
+        (lambda p: setattr(p.bn_states["view0.enc1_bn"], "running_var", np.ones((1, 5))),
+         r"state view0.enc1_bn is shaped \(\(1, 4\), \(1, 5\)\)")],
+        ids=["missing_tensor", "missing_state", "extra_tensor", "missized_state"])
+    def test_save_rejects_params_off_their_layout(self, tmp_path, edit, message):
+        params = tiny_params()
+        edit(params)
+        path = tmp_path / "ckpt"
+        with pytest.raises(ValueError, match=message):
+            md.save_checkpoint(path, params)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value", [("eps", -1.0), ("momentum", 0.5)])
+    def test_version2_bn_settings_must_equal_the_config(self, tmp_path, key, value):
+        """A version-2 state whose eps said -1.0 used to load, and `predict` then
+        gave NaN for every subject that needed completion."""
+        def edit(doc):
+            doc["bn_states"]["view1.dec1_bn@src2"][key] = value
+
+        path = self.edited_checkpoint(tmp_path, edit)
+        with pytest.raises(ValueError, match=r"batch-norm state view1.dec1_bn@src2 has "
+                                             r"momentum and eps"):
             md.load_checkpoint(path)
 
     @pytest.mark.parametrize("entry_name, key", [("classifier.W", "values"),
@@ -1552,12 +1748,12 @@ class TestCheckpoint:
                                  "--set", "model.ae_hidden=[4,3]"])
         assert code == 2
         capsys.readouterr()
-        path = run / "checkpoint.json"
-        extra = json.loads(path.read_text())["extra"]
+        path = run / "checkpoint.ckpt"
+        extra = header_and_payload(path)[0]["extra"]
         assert extra["aborted"] is True and set(extra) == {"aborted", "term", "epoch"}
         loaded = md.load_checkpoint(path)
         assert loaded.config.embed_dims == (4, 4, 4)
         manifest = json.loads((run / "run_manifest.json").read_text())
         assert sorted(manifest["artifacts"]) == sorted(
-            str(run / name) for name in ("checkpoint.json", "epochs.csv", "config.json"))
+            str(run / name) for name in ("checkpoint.ckpt", "epochs.csv", "config.json"))
         assert manifest["command"] == "train" and manifest["seeds"] == [3]

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from clclsa import model as md
 from clclsa import numerics as nm
 
+BN = {"momentum": 0.1, "eps": 1e-5}  # the batch-norm settings ModelConfig defaults to
+
 
 def finite_difference(build_loss, params, h=1e-5):
     """Central-difference gradients of a scalar-producing closure.
@@ -157,7 +159,7 @@ class TestBatchNorm:
         x = nm.constant(rng.normal(loc=5.0, scale=6.0, size=(64, 5)))
         st = nm.BatchNormState(5)
         out = nm.batch_norm(x, nm.constant(np.ones((1, 5))), nm.constant(np.zeros((1, 5))),
-                            st, "train").data
+                            st, "train", **BN).data
         assert np.abs(out.mean(axis=0)).max() < 1e-10
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-6
 
@@ -166,7 +168,7 @@ class TestBatchNorm:
         x[:, 1] = 7.0
         st = nm.BatchNormState(3)
         out = nm.batch_norm(nm.constant(x), nm.constant(np.ones((1, 3))),
-                            nm.constant(np.zeros((1, 3))), st, "train").data
+                            nm.constant(np.zeros((1, 3))), st, "train", **BN).data
         np.testing.assert_array_equal(out[:, 1], 0.0)
 
     def test_eval_converges_to_train_after_many_identical_batches(self):
@@ -176,15 +178,15 @@ class TestBatchNorm:
         beta = nm.constant(rng.normal(size=(1, 4)))
         st = nm.BatchNormState(4)
         for _ in range(200):
-            train_out = nm.batch_norm(nm.constant(x), gamma, beta, st, "train").data
-        eval_out = nm.batch_norm(nm.constant(x), gamma, beta, st, "eval").data
+            train_out = nm.batch_norm(nm.constant(x), gamma, beta, st, "train", **BN).data
+        eval_out = nm.batch_norm(nm.constant(x), gamma, beta, st, "eval", **BN).data
         assert np.abs(eval_out - train_out).max() < 1e-3
 
     def test_small_batch_rejected_in_train_mode(self):
         st = nm.BatchNormState(2)
         with pytest.raises(nm.BatchSizeError):
             nm.batch_norm(nm.constant(np.ones((1, 2))), nm.constant(np.ones((1, 2))),
-                          nm.constant(np.zeros((1, 2))), st, "train")
+                          nm.constant(np.zeros((1, 2))), st, "train", **BN)
 
 
 class TestBackward:
@@ -342,7 +344,8 @@ class TestGradientsAgainstFiniteDifferences:
 
             def build():
                 h = nm.affine(nm.constant(x), params["w1"], params["b1"])
-                h = nm.batch_norm(h, params["g"], params["be"], nm.BatchNormState(int(h.cols)), "train")
+                h = nm.batch_norm(h, params["g"], params["be"], nm.BatchNormState(int(h.cols)),
+                                  "train", **BN)
                 h = nm.relu(h)
                 h = nm.sigmoid(nm.affine(h, params["w2"], nm.constant(np.zeros((1, 3)))))
                 p = nm.softmax_rows(nm.mul(h, nm.constant(mix)))
