@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,29 +128,56 @@ def minmax_scaled(ds: MultiOmicsDataset) -> MultiOmicsDataset:
 # File I/O
 
 
-def _read_matrix(path):
-    """Header, values, and the file line number of each value row."""
-    rows = []
-    linenos = []
+def _value_rows(path):
+    """(line number, cells) of each non-blank row under the header, by csv.reader."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        next(reader, None)
+        for lineno, row in enumerate(reader, start=2):
+            if row:
+                yield lineno, row
+
+
+def _raise_located(path, width, reason):
+    """Raise the ParseError naming the first row of the wrong width or with a
+    cell float() or np.loadtxt rejects, else one carrying `reason`."""
+    for lineno, row in _value_rows(path):
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
         try:
-            header = next(reader)
+            for cell in row:
+                float(cell)
+            # the cells float() took hold no comma, quote or inner whitespace
+            np.loadtxt([",".join(cell.strip() for cell in row)], delimiter=",", comments=None)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+    raise ParseError(f"{path}: {reason}")
+
+
+def _read_matrix(path):
+    """Header names (csv.reader, so quoted names may hold commas) and values.
+
+    np.loadtxt converts each cell with the PyOS_string_to_double float() uses,
+    so values keep float()'s bits, but reads ASCII numerals only ("1_000" fails).
+    """
+    with open(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
-            linenos.append(lineno)
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-    return [h.strip() for h in header], matrix, linenos
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                matrix = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None,
+                                    quotechar='"', ndmin=2)
+        except ValueError as exc:
+            _raise_located(path, width, exc)
+    if matrix.size == 0:
+        matrix = matrix.reshape(0, width)
+    elif matrix.shape[1] != width:
+        _raise_located(path, width, f"{matrix.shape[1]} columns under a {width}-column header")
+    return [h.strip() for h in header], matrix
 
 
 def _read_labels(path):
@@ -185,12 +213,13 @@ def _minmax_scale(matrix, observed):
     return out
 
 
-def _check_finite(path, matrix, linenos, observed):
+def _check_finite(path, matrix, observed):
     bad = ~np.isfinite(matrix) & observed[:, None]
     if bad.any():
         r, c = np.argwhere(bad)[0]
-        raise ParseError(f"{path}:{linenos[r]}: non-finite observed cell "
-                         f"{matrix[r, c]!r} in column {c + 1}")
+        lineno = [n for n, _ in _value_rows(path)][r]
+        raise ParseError(f"{path}:{lineno}: non-finite observed cell "
+                         f"{float(matrix[r, c])!r} in column {c + 1}")
 
 
 def load_dataset(view_files, label_file, mask_file=None, class_count=None,
@@ -201,14 +230,7 @@ def load_dataset(view_files, label_file, mask_file=None, class_count=None,
     NaN and infinities included. With `scale`, each column is min-max scaled
     over its observed rows.
     """
-    headers = []
-    views = []
-    linenos = []
-    for path in view_files:
-        header, matrix, lines = _read_matrix(path)
-        headers.append(header)
-        views.append(matrix)
-        linenos.append(lines)
+    headers, views = zip(*(_read_matrix(path) for path in view_files))
     n = views[0].shape[0]
     for path, v in zip(view_files, views):
         if v.shape[0] != n:
@@ -221,7 +243,7 @@ def load_dataset(view_files, label_file, mask_file=None, class_count=None,
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise ParseError(f"{label_file}: labels must lie in [0, {class_count})")
     if mask_file is not None:
-        _, mask_matrix, _ = _read_matrix(mask_file)
+        _, mask_matrix = _read_matrix(mask_file)
         if mask_matrix.shape != (n, len(views)):
             raise ParseError(f"{mask_file}: mask must be {n}x{len(views)}, got {mask_matrix.shape}")
         if not np.isin(mask_matrix, (0.0, 1.0)).all():
@@ -230,7 +252,7 @@ def load_dataset(view_files, label_file, mask_file=None, class_count=None,
     else:
         mask = np.ones((n, len(views)), dtype=bool)
     for i, path in enumerate(view_files):
-        _check_finite(path, views[i], linenos[i], mask[:, i])
+        _check_finite(path, views[i], mask[:, i])
     if scale:
         views = [_minmax_scale(v, mask[:, i]) for i, v in enumerate(views)]
     if view_names is None:
@@ -246,28 +268,21 @@ def write_dataset(ds: MultiOmicsDataset, directory, manifest_extra=None) -> dict
     Returns the manifest dict (also written as manifest.json).
     """
     os.makedirs(directory, exist_ok=True)
-    paths = {"views": [], "labels": None, "mask": None, "manifest": None}
-    for i, (v, names) in enumerate(zip(ds.views, ds.feature_names)):
-        path = os.path.join(directory, f"{ds.view_names[i]}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in v:
-                writer.writerow([repr(float(x)) for x in row])
-        paths["views"].append(path)
-    label_path = os.path.join(directory, "labels.csv")
-    with open(label_path, "w") as fh:
-        for y in ds.labels:
-            fh.write(f"{int(y)}\n")
-    paths["labels"] = label_path
-    if not ds.is_complete():
-        mask_path = os.path.join(directory, "mask.csv")
-        with open(mask_path, "w", newline="") as fh:
+    files = {"views": [f"{name}.csv" for name in ds.view_names], "labels": "labels.csv",
+             "mask": None if ds.is_complete() else "mask.csv"}
+    for name, v, header in zip(files["views"], ds.views, ds.feature_names):
+        with open(os.path.join(directory, name), "w", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            # csv.writer quotes no float repr and ends each row with "\r\n"
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in v.tolist())
+    with open(os.path.join(directory, files["labels"]), "w") as fh:
+        fh.writelines(f"{y}\n" for y in ds.labels.tolist())
+    if files["mask"]:
+        with open(os.path.join(directory, files["mask"]), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(ds.view_names)
             for row in ds.mask:
                 writer.writerow([int(x) for x in row])
-        paths["mask"] = mask_path
     manifest = {
         "n_subjects": ds.n_subjects,
         "n_views": ds.n_views,
@@ -276,18 +291,12 @@ def write_dataset(ds: MultiOmicsDataset, directory, manifest_extra=None) -> dict
         "view_names": list(ds.view_names),
         "missing_rate": ds.missing_rate(),
         "note": ds.note,
-        "files": {
-            "views": [os.path.basename(p) for p in paths["views"]],
-            "labels": os.path.basename(label_path),
-            "mask": os.path.basename(paths["mask"]) if paths["mask"] else None,
-        },
+        "files": files,
     }
     if manifest_extra:
         manifest.update(manifest_extra)
-    manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, "w") as fh:
+    with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
-    paths["manifest"] = manifest_path
     return manifest
 
 

@@ -22,6 +22,7 @@ import base64
 import functools
 import json
 import math
+import numbers
 import os
 import tempfile
 from collections import OrderedDict
@@ -88,6 +89,13 @@ class NumericError(RuntimeError):
 # Configuration
 
 
+def _integer(field, value):
+    """`value` as an int; a bool or a non-integer (4.7, "4") is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} takes integers only, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture description: view count, per-view widths, head sizes."""
@@ -103,9 +111,10 @@ class ModelConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
-        object.__setattr__(self, "input_dims", tuple(int(d) for d in self.input_dims))
-        object.__setattr__(self, "embed_dims", tuple(int(d) for d in self.embed_dims))
-        object.__setattr__(self, "ae_hidden", tuple(int(d) for d in self.ae_hidden))
+        for name in ("input_dims", "embed_dims", "ae_hidden"):
+            object.__setattr__(self, name, tuple(_integer(name, d) for d in getattr(self, name)))
+        for name in ("num_views", "num_classes"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.num_views < 2:
             raise ValueError("at least two views required")
         if len(self.input_dims) != self.num_views or len(self.embed_dims) != self.num_views:
@@ -1090,7 +1099,7 @@ def save_checkpoint(path, params: CLCLSAParams, extra=None) -> None:
 def _config(path, doc: dict) -> ModelConfig:
     try:
         return ModelConfig(**doc["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: checkpoint holds no valid model config ({exc})") from None
 
 

@@ -435,6 +435,16 @@ class TestRunValuesRejectedBeforeTraining:
         assert "classes 4" in err and "has 2" in err
         assert not out.exists()
 
+    def test_fractional_width_is_usage_error_before_training(self, tmp_path, synth_dir,
+                                                            capsys, monkeypatch):
+        """Once truncated to a 4-wide model while config.json recorded 4.7."""
+        monkeypatch.setattr(tr, "train", raising_stub("train"))
+        out = tmp_path / "out"
+        assert run(["train", "--data", str(synth_dir), "--seed", "1", "--out", str(out),
+                    "--set", "model.embed_dims=[4.7,4.7,4.7]"]) == 1
+        assert "model: embed_dims takes integers only, got 4.7" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvalCheckpointMatchesData:
     def test_class_count_mismatch_is_usage_error(self, tmp_path, synth_dir, capsys):

@@ -1,8 +1,13 @@
 """Dataset container, file I/O, missingness, synthesis, splits."""
 
+import csv
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from clclsa import data as dt
@@ -136,6 +141,174 @@ class TestLoadWrite:
                                  scale=True)
         np.testing.assert_array_equal(scaled.views[0], 0.0)
         np.testing.assert_array_equal(scaled.views[1][:, 0], [0.0, 1.0])
+
+
+def read_matrix_reference(path):
+    """The view and mask reader as `data._read_matrix` was before np.loadtxt:
+    csv.reader rows and one float() per cell. Returns the stripped header, the
+    matrix, and the line number of each value row; raises the same ParseErrors."""
+    rows, linenos = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise dt.ParseError(f"{path}: empty file") from None
+        width = len(header)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise dt.ParseError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise dt.ParseError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
+            linenos.append(lineno)
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    return [h.strip() for h in header], matrix, linenos
+
+
+def write_view_reference(path, names, matrix):
+    """The view writer as `data.write_dataset` was before one join per row:
+    csv.writer rows of one `repr(float(x))` per numpy scalar."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in matrix:
+            writer.writerow([repr(float(x)) for x in row])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# (name, file text); each must read as the reference reads it, or fail with the
+# reference's ParseError message
+READER_CASES = [
+    ("blank_lines", "a,b\n1,2\n\n3,4\n\n"),
+    ("line_after_blank_lines", "a,b\n1,2\n\n\n3,x\n"),
+    ("crlf", "a,b\r\n1,2\r\n\r\n3,4\r\n"),
+    ("cr_only", "a,b\r1,2\r3,4\r"),
+    ("quoted_header_comma", '"x,y",b\n1,2\n'),
+    ("quoted_header_line_break", '"x\ny",b\n1,2\n3,?\n'),
+    ("quoted_numeric_cell", 'a,b\n"1.5",2\n"-0.0"," 7 "\n'),
+    ("padded_cells", "a,b\n 1.5 ,\t2 \n"),
+    ("header_only", "a,b\n"),
+    ("header_and_blank_lines", "a,b\n\n\n"),
+    ("one_column", "a\n1\n\n2.5e-3\n"),
+    ("one_column_blank_cell", "a\n1\n\"\"\n"),
+    ("trailing_comma", "a,b\n1,2\n1,2,\n"),
+    ("trailing_comma_in_header_too", "a,b,\n1,2,\n"),
+    ("ragged_row", "a,b\n1,2\n3\n"),
+    ("ragged_first_row", "a,b,c\n1,2\n3,4\n"),
+    ("whitespace_only_line", "a,b\n1,2\n   \n3,4\n"),
+    ("whitespace_only_line_one_column", "a\n1\n \t\n3\n"),
+    ("comment_cell", "a,b\n1,2\n#1,2\n"),
+    ("empty_cell", "a,b\n1,\n"),
+    ("hex_cell", "a,b\n0x10,2\n"),
+    ("word_cell", "a,b\n1.0,2.0\n1.0,oops\n"),
+    ("non_finite_words", "a,b\nnan,-inf\nInfinity,-NaN\n1e999,-1e999\n"),
+    ("extremes", "a,b,c\n5e-324,-0.0,1.7976931348623157e308\n"),
+    ("no_final_newline", "a,b\n1,2"),
+]
+
+
+class TestReaderMatchesReference:
+    @pytest.mark.parametrize("text", [t for _, t in READER_CASES],
+                             ids=[name for name, _ in READER_CASES])
+    def test_same_values_or_same_error(self, tmp_path, text):
+        path = tmp_path / "view.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            want = read_matrix_reference(path)
+        except dt.ParseError as exc:
+            with pytest.raises(dt.ParseError) as got:
+                dt._read_matrix(path)
+            assert str(got.value) == str(exc)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header, matrix = dt._read_matrix(path)
+        assert header == want[0]
+        assert same_bits(matrix, want[1])
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(dt.ParseError, match="empty.csv: empty file"):
+            dt._read_matrix(path)
+
+    @pytest.mark.parametrize("cell", ["1_000", "١", "１"])
+    def test_numeral_only_float_reads_is_rejected(self, tmp_path, cell):
+        """The one departure from the reference reader, which takes these."""
+        path = tmp_path / "view.csv"
+        path.write_text(f"a,b\n1,2\n\n3,{cell}\n", encoding="utf-8")
+        read_matrix_reference(path)
+        with pytest.raises(dt.ParseError, match=f"view.csv:4: non-numeric cell .*'{cell}'"):
+            dt._read_matrix(path)
+
+    def test_non_finite_observed_cell_after_blank_lines_names_its_line(self, tmp_path):
+        view, labels = tmp_path / "view.csv", tmp_path / "labels.csv"
+        view.write_text("a,b\n1,2\n\n\n3,4\n5,inf\n")
+        labels.write_text("0\n1\n0\n")
+        assert read_matrix_reference(view)[2] == [2, 5, 6]
+        with pytest.raises(dt.ParseError,
+                           match=r"view.csv:6: non-finite observed cell inf in column 2$"):
+            dt.load_dataset([view], labels)
+
+
+def float64s(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+SPECIAL_BITS = [int(np.array(x).view(np.uint64)) for x in
+                (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.finfo(float).max,
+                 np.finfo(float).tiny, 1.0 / 3.0, np.nan, -np.nan, np.inf, -np.inf)]
+CELL_BITS = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS))
+
+
+@st.composite
+def masked_datasets(draw):
+    """Two views of arbitrary float64 bit patterns. Observed cells are finite;
+    unobserved cells keep whatever they drew, NaN payloads and infinities
+    included."""
+    n = draw(st.integers(1, 6))
+    widths = [draw(st.integers(1, 4)) for _ in range(2)]
+    mask = np.array([draw(st.sampled_from([(1, 1), (1, 0), (0, 1)])) for _ in range(n)],
+                    dtype=bool)
+    views = []
+    for i, d in enumerate(widths):
+        v = float64s(draw(st.lists(CELL_BITS, min_size=n * d, max_size=n * d))).reshape(n, d)
+        observed = mask[:, i][:, None] & ~np.isfinite(v)
+        views.append(np.where(observed, -0.0, v))
+    return dt.MultiOmicsDataset(views=views, mask=mask, labels=np.zeros(n, dtype=int),
+                                class_count=1)
+
+
+class TestWriterAndReaderMatchReference:
+    @given(masked_datasets())
+    @example(dt.MultiOmicsDataset(views=[float64s(SPECIAL_BITS).reshape(3, 4), np.ones((3, 1))],
+                                  mask=[[0, 1]] * 3, labels=[0, 0, 0], class_count=1))
+    def test_bytes_and_bits(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            dt.write_dataset(ds, tmp / "new")
+            for i, (v, names) in enumerate(zip(ds.views, ds.feature_names)):
+                written = tmp / "new" / f"{ds.view_names[i]}.csv"
+                write_view_reference(tmp / "reference.csv", names, v)
+                assert written.read_bytes() == (tmp / "reference.csv").read_bytes()
+                header, matrix, _ = read_matrix_reference(written)
+                got_header, got = dt._read_matrix(written)
+                assert got_header == header and same_bits(got, matrix)
+                observed = ds.mask[:, i]
+                assert same_bits(matrix[observed], v[observed])
+            np.testing.assert_array_equal(dt.load_dataset_dir(tmp / "new").mask, ds.mask)
+            if not ds.is_complete():
+                mask_file = tmp / "new" / "mask.csv"
+                assert same_bits(dt._read_matrix(mask_file)[1],
+                                 read_matrix_reference(mask_file)[1])
 
 
 class TestApplyMissingness:

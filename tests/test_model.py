@@ -237,6 +237,22 @@ class TestModelConfig:
         for momentum in (0.0, 1.0):
             replace(TINY, bn_momentum=momentum, bn_eps=1e-300)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_views", 3.0), ("num_views", True), ("num_classes", 2.5),
+        ("num_classes", True), ("num_classes", "2"), ("input_dims", (6, 6.5, 6)),
+        ("input_dims", (4.7,) * 3), ("embed_dims", (4.7,) * 3),
+        ("ae_hidden", (True, 3)), ("ae_hidden", (4, np.bool_(True))), ("ae_hidden", (4.0, 3))])
+    def test_non_integer_count_or_width_rejected_not_truncated(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} takes integers only"):
+            replace(TINY, **{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        config = md.ModelConfig(np.int64(3), np.array([6, 6, 6]), [np.int32(4)] * 3,
+                                np.intp(2), ae_hidden=(np.uint8(4), 3))
+        assert config == md.ModelConfig(3, (6, 6, 6), (4, 4, 4), 2, ae_hidden=(4, 3))
+        assert all(type(v) is int for v in (config.num_views, config.num_classes,
+                                             *config.input_dims, *config.ae_hidden))
+
 
 MODE_ENTRY_POINTS = [
     pytest.param(lambda mode: md.forward_view(nm.constant(tiny_views()[0]), tiny_params(), 0,
@@ -1625,6 +1641,14 @@ class TestCheckpoint:
     def test_rejects_invalid_config(self, tmp_path, edit):
         with pytest.raises(ValueError, match="config|bn_eps"):
             md.load_checkpoint(self.edited_header(tmp_path, edit))
+
+    def test_rejects_fractional_width(self, tmp_path):
+        """A header width of 4.7 is refused, not read as a 4-wide model."""
+        path = self.edited_header(tmp_path, lambda header: header["config"].update(
+            embed_dims=[4.7] * len(header["config"]["embed_dims"])))
+        with pytest.raises(ValueError, match="no valid model config .*embed_dims takes "
+                                             "integers only, got 4.7"):
+            md.load_checkpoint(path)
 
     @pytest.mark.parametrize("cut, tail, held", [(8, b"", -8), (0, b"\0", 1)],
                              ids=["8_bytes_short", "1_byte_long"])
