@@ -23,7 +23,6 @@ runtime/numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -31,7 +30,7 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -197,7 +196,7 @@ def _environment():
     }
 
 
-def _write_manifest(out_dir, command, resolved, seeds, inputs, artifacts, started):
+def _write_manifest(command, out_dir, resolved, seeds, artifacts, inputs, started):
     manifest = {
         "command": command,
         "resolved_config": resolved,
@@ -213,16 +212,18 @@ def _write_manifest(out_dir, command, resolved, seeds, inputs, artifacts, starte
     with os.fdopen(fd, "w") as fh:
         json.dump(manifest, fh, indent=2)
     os.replace(tmp, path)
-    return path
 
 
-def _dataset_inputs(directory):
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        files = json.load(fh)["files"]
-    paths = [os.path.join(directory, f) for f in files["views"]]
-    paths.append(os.path.join(directory, files["labels"]))
-    if files.get("mask"):
-        paths.append(os.path.join(directory, files["mask"]))
+def _inputs(args):
+    """The files a command read: its checkpoint, then its dataset's files."""
+    paths = [args.checkpoint] if hasattr(args, "checkpoint") else []
+    if hasattr(args, "data"):
+        with open(os.path.join(args.data, "manifest.json")) as fh:
+            files = json.load(fh)["files"]
+        paths += [os.path.join(args.data, f) for f in files["views"]]
+        paths.append(os.path.join(args.data, files["labels"]))
+        if files.get("mask"):
+            paths.append(os.path.join(args.data, files["mask"]))
     return paths
 
 
@@ -257,14 +258,12 @@ def _setup(args, config):
                                             "train": asdict(train_config)}
 
 
-def _emit(args, command, stem, result, resolved, seeds, started):
-    """Write a runner's report and the run manifest; returns the report path."""
+def _emit(args, stem, result):
+    """Write a runner's report; returns its directory and path."""
     out = _out_dir(args)
     report_path = os.path.join(out, f"{stem}.{args.format}")
     ev.emit_report(result.rows, report_path, fmt=args.format)
-    _write_manifest(out, command, resolved, seeds, _dataset_inputs(args.data),
-                    [report_path], started)
-    return report_path
+    return out, report_path
 
 
 # argparse `type=` converters: argparse reports a ValueError from one as a usage
@@ -307,11 +306,11 @@ def _assignment(convert):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its exit code and its run manifest's (output
+# directory, resolved config, seeds, artifacts), None when it wrote no file
 
 
 def _cmd_synth(args, config):
-    started = time.time()
     section = _section(config, "synth")
     section["seed"] = args.seed
     section.setdefault("n_views", 3)
@@ -322,13 +321,11 @@ def _cmd_synth(args, config):
     manifest = dt.write_dataset(ds, out, manifest_extra={"synth_spec": asdict(spec)})
     artifacts = [os.path.join(out, f) for f in manifest["files"]["views"]]
     artifacts.append(os.path.join(out, manifest["files"]["labels"]))
-    _write_manifest(out, "synth", {"synth": asdict(spec)}, [args.seed], [], artifacts, started)
     print(f"wrote synthetic dataset ({ds.n_subjects} subjects, {ds.n_views} views) to {out}")
-    return 0
+    return 0, (out, {"synth": asdict(spec)}, [args.seed], artifacts)
 
 
 def _cmd_mask(args, config):
-    started = time.time()
     section = _section(config, "mask")
     _check_keys(section, {"eta", "policy"}, "mask.")
     if section.get("eta") is None:
@@ -338,28 +335,13 @@ def _cmd_mask(args, config):
     masked = dt.apply_missingness(ds, spec)
     out = _out_dir(args)
     dt.write_dataset(masked, out, manifest_extra={"missingness": asdict(spec)})
-    eta, policy = spec.eta, spec.policy
-    _write_manifest(out, "mask", {"mask": {"eta": eta, "policy": policy}}, [args.seed],
-                    _dataset_inputs(args.data), [os.path.join(out, "mask.csv")], started)
-    print(f"wrote masked dataset (eta={eta}, realized {masked.missing_rate():.4f}) to {out}")
-    return 0
-
-
-def _epoch_log_csv(path, logs):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "l_clf", "l_al", "l_co", "l_cl", "total", "lr",
-                         "latent_variance", "train_acc"])
-        for entry in logs:
-            b = entry.breakdown
-            writer.writerow([entry.epoch, repr(b.l_clf), repr(b.l_al), repr(b.l_co),
-                             repr(b.l_cl), repr(b.total), repr(entry.lr),
-                             ";".join(repr(v) for v in entry.latent_variance),
-                             "" if entry.train_acc is None else repr(entry.train_acc)])
+    print(f"wrote masked dataset (eta={spec.eta}, realized {masked.missing_rate():.4f}) "
+          f"to {out}")
+    return 0, (out, {"mask": {"eta": spec.eta, "policy": spec.policy}}, [args.seed],
+               [os.path.join(out, "mask.csv")])
 
 
 def _cmd_train(args, config):
-    started = time.time()
     ds, model_config, train_config, resolved = _setup(args, config)
     out = _out_dir(args)
     checkpoint, epochs, config_path = (os.path.join(out, name) for name in
@@ -374,19 +356,20 @@ def _cmd_train(args, config):
         aborted, params, logs = exc, exc.params, exc.logs
         extra = {"aborted": True, "term": exc.term, "epoch": exc.epoch}
     md.save_checkpoint(checkpoint, params, extra)
-    _epoch_log_csv(epochs, logs)
-    _write_manifest(out, "train", resolved, [train_config.seed],
-                    _dataset_inputs(args.data), [checkpoint, epochs, config_path], started)
+    ev.write_table(epochs, ["epoch", "l_clf", "l_al", "l_co", "l_cl", "total", "lr",
+                            "latent_variance", "train_acc"],
+                   ([e.epoch, *astuple(e.breakdown), e.lr, e.latent_variance, e.train_acc]
+                    for e in logs))
+    written = (out, resolved, [train_config.seed], [checkpoint, epochs, config_path])
     if aborted is not None:
         print(f"error: {aborted}", file=sys.stderr)
-        return 2
+        return 2, written
     print(f"trained {train_config.epochs} epochs; final loss "
           f"{logs[-1].breakdown.total!r}; checkpoint at {checkpoint}")
-    return 0
+    return 0, written
 
 
 def _cmd_eval(args, config):
-    started = time.time()
     out_dir = os.path.dirname(os.path.abspath(args.out)) if args.out else None
     if out_dir:
         existing = os.path.join(out_dir, "run_manifest.json")
@@ -405,19 +388,16 @@ def _cmd_eval(args, config):
     text = json.dumps(asdict(report), indent=2)
     if not args.out:
         print(text)
-        return 0
+        return 0, None
     os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w") as fh:
         fh.write(text + "\n")
-    resolved = {"eval": {"checkpoint": args.checkpoint, "data": args.data, "scale": args.scale}}
-    _write_manifest(out_dir, "eval", resolved, [],
-                    [args.checkpoint, *_dataset_inputs(args.data)], [args.out], started)
     print(f"wrote metrics to {args.out}")
-    return 0
+    resolved = {"eval": {"checkpoint": args.checkpoint, "data": args.data, "scale": args.scale}}
+    return 0, (out_dir, resolved, [], [args.out])
 
 
 def _cmd_sweep(args, config):
-    started = time.time()
     _check_etas(args.etas)
     ds, model_config, train_config, resolved = _setup(args, config)
     seeds = args.seeds or [args.seed]
@@ -425,44 +405,36 @@ def _cmd_sweep(args, config):
                                    mask_test=not args.complete_test,
                                    dataset_name=os.path.basename(os.path.normpath(args.data)))
     resolved["sweep"] = {"etas": args.etas, "seeds": seeds, "mask_test": not args.complete_test}
-    _emit(args, "sweep", "sweep", result, resolved, seeds, started)
+    out, report = _emit(args, "sweep", result)
     for point in result.points:
         acc = point.mean.get("acc")
         print(f"eta={point.eta}: mean acc {acc if acc is None else round(acc, 4)} "
               f"({len(point.reports)} ok, {point.failures} failed)")
-    return 0
+    return 0, (out, resolved, seeds, [report])
 
 
 def _cmd_grid(args, config):
-    started = time.time()
     ds, model_config, train_config, resolved = _setup(args, config)
     grid = _build(tr.GridSpec, _section(config, "grid"), "grid")
     result = tr.grid_search(ds, None, model_config, grid, train_config)
     out = _out_dir(args)
     summary = os.path.join(out, "grid.csv")
-    with open(summary, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda_al", "lambda_co", "lambda_cl", "metric", "status", "detail"])
-        for trial in result.trials:
-            w = trial.weights
-            writer.writerow([w.lambda_al, w.lambda_co, w.lambda_cl,
-                             "" if trial.metric is None else repr(trial.metric),
-                             trial.status, trial.detail])
+    ev.write_table(summary, ["lambda_al", "lambda_co", "lambda_cl", "metric", "status", "detail"],
+                   ([t.weights.lambda_al, t.weights.lambda_co, t.weights.lambda_cl, t.metric,
+                     t.status, t.detail] for t in result.trials))
     resolved["grid"] = asdict(grid)
-    _write_manifest(out, "grid", resolved, [train_config.seed],
-                    _dataset_inputs(args.data), [summary], started)
+    written = (out, resolved, [train_config.seed], [summary])
     if result.best is None:
         print("grid search: no trial succeeded", file=sys.stderr)
-        return 2
+        return 2, written
     w = result.best.weights
     print(f"best: lambda_al={w.lambda_al} lambda_co={w.lambda_co} "
           f"lambda_cl={w.lambda_cl} ({grid.metric}={result.best.metric:.4f}); "
           f"summary at {summary}")
-    return 0
+    return 0, written
 
 
 def _cmd_ablate(args, config):
-    started = time.time()
     _check_etas(args.etas)
     _build(md.LossWeights, {"lambda_co": args.lambda_co_fixed}, "--lambda-co-fixed")
     ds, model_config, train_config, resolved = _setup(args, config)
@@ -472,15 +444,14 @@ def _cmd_ablate(args, config):
                              dataset_name=os.path.basename(os.path.normpath(args.data)))
     resolved["ablate"] = {"etas": list(spec.etas), "seeds": list(spec.seeds),
                           "lambda_co": spec.lambda_co}
-    _emit(args, "ablate", "ablation", result, resolved, list(spec.seeds), started)
+    out, report = _emit(args, "ablation", result)
     for variant in spec.variants:
         accs = [p.mean.get("acc") for p in result.points if p.variant == variant]
         print(f"{variant}: mean acc per eta {[None if a is None else round(a, 4) for a in accs]}")
-    return 0
+    return 0, (out, resolved, list(spec.seeds), [report])
 
 
 def _cmd_surface(args, config):
-    started = time.time()
     names = [name for name, _ in [args.fix, *args.vary]]
     if sorted(names) != sorted(ev.SURFACE_WEIGHTS):
         raise UsageError(f"surface needs one --fix and two --vary naming each of "
@@ -497,10 +468,10 @@ def _cmd_surface(args, config):
                                    args.eta, seeds,
                                    dataset_name=os.path.basename(os.path.normpath(args.data)))
     resolved["surface"] = {"fixed": fixed, "grids": grids, "eta": args.eta, "seeds": seeds}
-    report_path = _emit(args, "surface", "surface", result, resolved, seeds, started)
+    out, report = _emit(args, "surface", result)
     ok = sum(1 for r in result.rows if r.status == "ok")
-    print(f"surface: {ok}/{len(result.rows)} trials ok; table at {report_path}")
-    return 0
+    print(f"surface: {ok}/{len(result.rows)} trials ok; table at {report}")
+    return 0, (out, resolved, seeds, [report])
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +581,7 @@ def _build_parser():
 
 
 def dispatch(argv) -> int:
+    started = time.time()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -619,7 +591,10 @@ def dispatch(argv) -> int:
             if "." in dest and value is not None:
                 _set_leaf(config, dest, value)
         _check_keys(config, SECTIONS)
-        return args.func(args, config)
+        code, written = args.func(args, config)
+        if written is not None:
+            _write_manifest(args.command, *written, _inputs(args), started)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

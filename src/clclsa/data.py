@@ -425,8 +425,8 @@ class SyntheticSpec:
             raise ValueError("all counts must be >= 1")
         if len(self.view_dims) != self.n_views or any(d < 1 for d in self.view_dims):
             raise ValueError("view_dims needs one positive entry per view")
-        if self.snr <= 0:
-            raise ValueError("snr must be positive")
+        if not self.snr > 0:  # also NaN
+            raise ValueError(f"snr must be positive, got {self.snr}")
 
 
 def _view_windows(shared_dim: int, n_views: int):

@@ -64,16 +64,18 @@ def confusion_matrix(pred, true, class_count: int) -> np.ndarray:
     return counts
 
 
-def _class_f1(confusion) -> np.ndarray:
-    """One-vs-rest F1 = 2PR/(P+R) of each class of a confusion matrix; 0 by
-    convention for a class with no true positive."""
+def _class_f1(confusion) -> tuple:
+    """(per-class, macro, support-weighted) one-vs-rest F1 = 2PR/(P+R) of a
+    confusion matrix; 0 by convention for a class with no true positive, and
+    for the weighted mean of an empty matrix."""
     tp = np.diag(confusion)
     hit = tp > 0
+    support = confusion.sum(axis=1)
     precision = tp[hit] / confusion.sum(axis=0)[hit]
-    recall = tp[hit] / confusion.sum(axis=1)[hit]
+    recall = tp[hit] / support[hit]
     f1 = np.zeros(tp.size)
     f1[hit] = 2.0 * precision * recall / (precision + recall)
-    return f1
+    return f1, float(f1.mean()), float((f1 * support).sum() / max(support.sum(), 1))
 
 
 def f1_binary(pred, true, positive_class: int = 1) -> float:
@@ -84,20 +86,18 @@ def f1_binary(pred, true, positive_class: int = 1) -> float:
     pred, true = _as_labels(pred), _as_labels(true)
     if pred.shape != true.shape:
         raise ValueError("label vectors must share a length")
-    return float(_class_f1(confusion_matrix(pred, true, 2))[positive_class])
+    return float(_class_f1(confusion_matrix(pred, true, 2))[0][positive_class])
 
 
 def _average_ranks(scores):
+    """1-based ranks; each run of equal scores, sorted positions first..last,
+    shares the mean of its ranks, and a NaN, equal to nothing, ranks alone."""
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    first = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    last = np.append(first[1:], scores.size) - 1
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 
@@ -132,12 +132,8 @@ def multiclass_f1(pred, true, class_count: int, mode: str = "macro") -> float:
     pred, true = _as_labels(pred), _as_labels(true)
     if pred.shape != true.shape or pred.size == 0:
         raise ValueError("label vectors must share a nonzero length")
-    confusion = confusion_matrix(pred, true, class_count)
-    f1s = _class_f1(confusion)
-    supports = confusion.sum(axis=1)
-    if mode == "macro":
-        return float(f1s.mean())
-    return float((f1s * supports).sum() / supports.sum())
+    _, macro, weighted = _class_f1(confusion_matrix(pred, true, class_count))
+    return macro if mode == "macro" else weighted
 
 
 @dataclass
@@ -160,16 +156,16 @@ def compute_report(yhat, true, class_count: int, metadata=None) -> MetricsReport
     true = _as_labels(true)
     pred = np.argmax(yhat, axis=1)
     conf = confusion_matrix(pred, true, class_count)
+    f1s, macro_f1, weighted_f1 = _class_f1(conf)
     binary = class_count == 2
-    f1 = f1_binary(pred, true) if binary else None
     auc = None
     if binary and len(np.unique(true)) == 2:
         auc = auc_binary(yhat[:, 1], true)
     return MetricsReport(
         acc=accuracy(pred, true),
-        weighted_f1=multiclass_f1(pred, true, class_count, "weighted"),
-        macro_f1=multiclass_f1(pred, true, class_count, "macro"),
-        f1=f1,
+        weighted_f1=weighted_f1,
+        macro_f1=macro_f1,
+        f1=float(f1s[1]) if binary else None,
         auc=auc,
         confusion=conf.tolist(),
         n_subjects=int(true.size),
@@ -431,8 +427,8 @@ def emit_report(rows, path, fmt: str = "csv"):
     """Write long-format trial rows (one per trial) plus a mean and a std row
     per (dataset, variant, eta) group that has an ok trial.
 
-    CSV columns are fixed; JSON mirrors the same records. Floats are written
-    via repr so a parse reproduces them exactly.
+    CSV columns are fixed (cells as `write_table` writes them); JSON mirrors
+    the same records.
     """
     records = [row.to_record() for row in rows]
     aggregated = [p for p in _points(rows) if p.reports]
@@ -442,21 +438,31 @@ def emit_report(rows, path, fmt: str = "csv"):
                             "variant": p.variant, "eta": p.eta, "status": status,
                             **{k: stats.get(k) for k in METRIC_COLUMNS}})
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(REPORT_COLUMNS)
-            for rec in records:
-                writer.writerow([
-                    "" if rec[c] is None else
-                    (repr(float(rec[c])) if isinstance(rec[c], float) else rec[c])
-                    for c in REPORT_COLUMNS
-                ])
+        write_table(path, REPORT_COLUMNS, ([rec[c] for c in REPORT_COLUMNS] for rec in records))
     elif fmt == "json":
         with open(path, "w") as fh:
             json.dump({"columns": list(REPORT_COLUMNS), "rows": records}, fh, indent=2)
     else:
         raise ValueError("format must be 'csv' or 'json'")
     return path
+
+
+def _cell(value):
+    """A CSV cell: "" for None, a list's cells joined by ";", a float as its
+    exact `repr(float(v))` (numpy 2's repr is "np.float64(...)"), else `v`."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(_cell(v) for v in value)
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def write_table(path, columns, rows):
+    """Write a CSV table: the column names, then each row's values as `_cell`s."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def parse_report_csv(path) -> list:

@@ -170,8 +170,11 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_al", "lambda_co", "lambda_cl", "alpha"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not value < math.inf:  # also NaN, which compares False both ways
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -270,8 +273,6 @@ class CLCLSAParams:
 
 @dataclass
 class ViewForward:
-    fatt: Tensor
-    xhat: Tensor
     matt: Tensor
     zhat: Tensor
     yhat: Tensor
@@ -339,7 +340,7 @@ def forward_view(x, params: CLCLSAParams, view: int, mode: str,
     One node with outputs `zhat`, `matt` and `yhat` over `_view_latent` and
     the auxiliary head, which do the arithmetic of the op-by-op chain
     (sigmoid(affine), mul, affine, ReLU, dropout, sigmoid(affine), mul,
-    softmax(affine)). `fatt` and `xhat` come back as constants.
+    softmax(affine)).
     """
     nm._check_mode(mode)
     x = as_tensor(x)
@@ -359,9 +360,7 @@ def forward_view(x, params: CLCLSAParams, view: int, mode: str,
             gm = _plus(gm, (gz * xhat).sum(axis=1, keepdims=True))
         if gm is not None:
             gx = _plus(gx, _affine_backward(gm * matt * (1.0 - matt), xhat, gw, gb))
-        if gx is None:
-            return
-        # gx is this hook's own array from here on
+        # some output had a gradient, so gx is set: this hook's own array from here on
         if keep is not None:
             gx *= keep
         gx *= a2 > 0
@@ -376,8 +375,7 @@ def forward_view(x, params: CLCLSAParams, view: int, mode: str,
 
     zhat_t, matt_t, yhat_t = nm.multi_output_op(
         (zhat, matt, yhat), (x, fw, fb, ew, eb, gw, gb, aw, ab), backward_fn)
-    return ViewForward(fatt=constant(fatt), xhat=constant(xhat), matt=matt_t, zhat=zhat_t,
-                       yhat=yhat_t)
+    return ViewForward(matt=matt_t, zhat=zhat_t, yhat=yhat_t)
 
 
 def _bn_relu(x, w, b, gamma, beta, state, mode, config: ModelConfig):
@@ -874,8 +872,6 @@ def loss_contrastive_pair(p, alpha: float) -> Tensor:
     value = -np.sum(t)
 
     def backward_fn(out):
-        if not p.requires_grad:
-            return
         g = out.grad[0, 0]
         direct = log_p + p.data * (p.data >= LOG_FLOOR) / pc
         marg = (log_row + row * (row >= LOG_FLOOR) / rowc)[:, None] \

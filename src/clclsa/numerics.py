@@ -226,7 +226,9 @@ def _node(data, parents, backward_fn) -> Tensor:
                   backward_fn=backward_fn if needs else None)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
+    """Add g into a tensor's gradient; the backward hooks in this module and
+    those of `custom_op` nodes call it."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -234,11 +236,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = g + 0.0
     else:
         t.grad += g
-
-
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add into a tensor's gradient; for backward hooks of `custom_op` nodes."""
-    _accumulate(t, g)
 
 
 def accumulate_rows(t: Tensor, rows, g: np.ndarray) -> None:
@@ -285,11 +282,11 @@ def affine(x, w, b) -> Tensor:
     def backward_fn(out):
         g = out.grad
         if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
+            accumulate_grad(x, g @ w.data.T)
         if w.requires_grad:
-            _accumulate(w, x.data.T @ g)
+            accumulate_grad(w, x.data.T @ g)
         if b.requires_grad:
-            _accumulate(b, g.sum(axis=0, keepdims=True))
+            accumulate_grad(b, g.sum(axis=0, keepdims=True))
 
     return _node(out_data, (x, w, b), backward_fn)
 
@@ -299,8 +296,8 @@ def add(a, b) -> Tensor:
     _check_broadcast(a, b, "add")
 
     def backward_fn(out):
-        _accumulate(a, _unbroadcast(out.grad, a.shape))
-        _accumulate(b, _unbroadcast(out.grad, b.shape))
+        accumulate_grad(a, _unbroadcast(out.grad, a.shape))
+        accumulate_grad(b, _unbroadcast(out.grad, b.shape))
 
     return _node(a.data + b.data, (a, b), backward_fn)
 
@@ -311,9 +308,9 @@ def sub(a, b) -> Tensor:
 
     def backward_fn(out):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad, a.shape))
+            accumulate_grad(a, _unbroadcast(out.grad, a.shape))
         if b.requires_grad:
-            _accumulate(b, -_unbroadcast(out.grad, b.shape))
+            accumulate_grad(b, -_unbroadcast(out.grad, b.shape))
 
     return _node(a.data - b.data, (a, b), backward_fn)
 
@@ -325,9 +322,9 @@ def mul(a, b) -> Tensor:
 
     def backward_fn(out):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(out.grad * b.data, a.shape))
+            accumulate_grad(a, _unbroadcast(out.grad * b.data, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(out.grad * a.data, b.shape))
+            accumulate_grad(b, _unbroadcast(out.grad * a.data, b.shape))
 
     return _node(a.data * b.data, (a, b), backward_fn)
 
@@ -337,7 +334,7 @@ def scale(a, c: float) -> Tensor:
     c = float(c)
 
     def backward_fn(out):
-        _accumulate(a, c * out.grad)
+        accumulate_grad(a, c * out.grad)
 
     return _node(c * a.data, (a,), backward_fn)
 
@@ -360,7 +357,7 @@ def sigmoid(a) -> Tensor:
     s = sigmoid_values(a.data)
 
     def backward_fn(out):
-        _accumulate(a, out.grad * s * (1.0 - s))
+        accumulate_grad(a, out.grad * s * (1.0 - s))
 
     return _node(s, (a,), backward_fn)
 
@@ -369,7 +366,7 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
 
     def backward_fn(out):
-        _accumulate(a, out.grad * (a.data > 0))
+        accumulate_grad(a, out.grad * (a.data > 0))
 
     return _node(np.maximum(a.data, 0.0), (a,), backward_fn)
 
@@ -389,7 +386,7 @@ def softmax_rows(a) -> Tensor:
 
     def backward_fn(out):
         g = out.grad
-        _accumulate(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
+        accumulate_grad(a, y * (g - (g * y).sum(axis=1, keepdims=True)))
 
     return _node(y, (a,), backward_fn)
 
@@ -411,7 +408,7 @@ def dropout(a, p: float, mode: str, rng: RngStream) -> Tensor:
     mask = dropout_mask(rng, a.rows, a.cols, p)
 
     def backward_fn(out):
-        _accumulate(a, out.grad * mask)
+        accumulate_grad(a, out.grad * mask)
 
     return _node(a.data * mask, (a,), backward_fn)
 
@@ -467,11 +464,11 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str, *, momentum: fl
 
         def backward_fn(out):
             g = out.grad
-            _accumulate(gamma, (g * xhat).sum(axis=0, keepdims=True))
-            _accumulate(beta, g.sum(axis=0, keepdims=True))
+            accumulate_grad(gamma, (g * xhat).sum(axis=0, keepdims=True))
+            accumulate_grad(beta, g.sum(axis=0, keepdims=True))
             if x.requires_grad:
                 dxhat = g * gamma.data
-                _accumulate(x, (inv_std / n) * (
+                accumulate_grad(x, (inv_std / n) * (
                     n * dxhat
                     - dxhat.sum(axis=0, keepdims=True)
                     - xhat * (dxhat * xhat).sum(axis=0, keepdims=True)
@@ -482,9 +479,9 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str, *, momentum: fl
 
         def backward_fn(out):
             g = out.grad
-            _accumulate(gamma, (g * xhat).sum(axis=0, keepdims=True))
-            _accumulate(beta, g.sum(axis=0, keepdims=True))
-            _accumulate(x, g * (gamma.data * inv_std))
+            accumulate_grad(gamma, (g * xhat).sum(axis=0, keepdims=True))
+            accumulate_grad(beta, g.sum(axis=0, keepdims=True))
+            accumulate_grad(x, g * (gamma.data * inv_std))
 
     out_data = xhat * gamma.data + beta.data
     return _node(out_data, (x, gamma, beta), backward_fn)
@@ -504,7 +501,7 @@ def concat_cols(parts) -> Tensor:
 
     def backward_fn(out):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, out.grad[:, lo:hi])
+            accumulate_grad(p, out.grad[:, lo:hi])
 
     return _node(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward_fn)
 
@@ -547,7 +544,7 @@ def scatter_rows(src, idx, n_rows: int) -> Tensor:
     out_data = scatter_values(src.data, idx, n_rows)
 
     def backward_fn(out):
-        _accumulate(src, out.grad[idx])
+        accumulate_grad(src, out.grad[idx])
 
     return _node(out_data, (src,), backward_fn)
 
@@ -566,7 +563,7 @@ def pick_per_row(a, col_idx) -> Tensor:
         if a.requires_grad:
             g = np.zeros_like(a.data)
             g[rows, col_idx] = out.grad[:, 0]
-            _accumulate(a, g)
+            accumulate_grad(a, g)
 
     return _node(a.data[rows, col_idx].reshape(-1, 1), (a,), backward_fn)
 
@@ -575,7 +572,7 @@ def sum_all(a) -> Tensor:
     a = as_tensor(a)
 
     def backward_fn(out):
-        _accumulate(a, np.full_like(a.data, out.grad[0, 0]))
+        accumulate_grad(a, np.full_like(a.data, out.grad[0, 0]))
 
     return _node(a.data.sum(), (a,), backward_fn)
 
@@ -585,7 +582,7 @@ def mean_all(a) -> Tensor:
     size = a.data.size
 
     def backward_fn(out):
-        _accumulate(a, np.full_like(a.data, out.grad[0, 0] / size))
+        accumulate_grad(a, np.full_like(a.data, out.grad[0, 0] / size))
 
     return _node(a.data.mean(), (a,), backward_fn)
 
@@ -597,7 +594,7 @@ def log(a) -> Tensor:
         raise ValueError("log: inputs must be strictly positive (clamp first)")
 
     def backward_fn(out):
-        _accumulate(a, out.grad / a.data)
+        accumulate_grad(a, out.grad / a.data)
 
     return _node(np.log(a.data), (a,), backward_fn)
 
@@ -608,7 +605,7 @@ def clamp_min(a, floor: float) -> Tensor:
     mask = a.data >= floor
 
     def backward_fn(out):
-        _accumulate(a, out.grad * mask)
+        accumulate_grad(a, out.grad * mask)
 
     return _node(np.maximum(a.data, floor), (a,), backward_fn)
 
@@ -628,8 +625,8 @@ def mean_outer(a, b) -> Tensor:
 
     def backward_fn(out):
         g = out.grad
-        _accumulate(a, (b.data @ g.T) / n)
-        _accumulate(b, (a.data @ g) / n)
+        accumulate_grad(a, (b.data @ g.T) / n)
+        accumulate_grad(b, (a.data @ g) / n)
 
     return _node(out_data, (a, b), backward_fn)
 
@@ -644,7 +641,7 @@ def unit_sum(a) -> Tensor:
 
     def backward_fn(out):
         g = out.grad
-        _accumulate(a, (g - (g * out_data).sum()) / s)
+        accumulate_grad(a, (g - (g * out_data).sum()) / s)
 
     return _node(out_data, (a,), backward_fn)
 

@@ -10,6 +10,7 @@ mode.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import astuple, dataclass, field, replace
 from typing import Optional
 
@@ -45,14 +46,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.initial_lr <= 0:
-            raise nm.HyperparameterError("initial_lr must be positive")
+        for name in ("initial_lr", "lr_decay_factor"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN too: it compares False both ways
+                raise nm.HyperparameterError(f"{name} must be positive and finite, got {value}")
         if self.lr_schedule not in ("step", "constant"):
             raise ValueError("lr_schedule must be 'step' or 'constant'")
         if self.lr_decay_every < 1:
             raise ValueError("lr_decay_every must be >= 1")
-        if self.lr_decay_factor <= 0:
-            raise ValueError("lr_decay_factor must be positive")
         if self.reduction not in ("mean", "sum"):
             raise ValueError("reduction must be 'mean' or 'sum'")
         if self.batch_size is not None and self.batch_size < 2:
@@ -124,7 +125,7 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
     for epoch in range(train_config.epochs):
         lr = lr_at(epoch, train_config)
         if train_config.batch_size is None or train_config.batch_size >= n:
-            batches = [np.arange(n)]
+            batches = [slice(None)]  # the whole set, without copying it
         else:
             order = batch_rng.permutation(n)
             b = train_config.batch_size

@@ -30,13 +30,13 @@ def pytest_runtest_makereport(item, call):
 
 @pytest.fixture()
 def accumulated(monkeypatch):
-    """Every tensor handed to `numerics._accumulate` during the test, in order."""
+    """Every tensor handed to `numerics.accumulate_grad` during the test, in order."""
     seen = []
-    accumulate = nm._accumulate
+    accumulate = nm.accumulate_grad
 
     def recording(t, g):
         seen.append(t)
         accumulate(t, g)
 
-    monkeypatch.setattr(nm, "_accumulate", recording)
+    monkeypatch.setattr(nm, "accumulate_grad", recording)
     return seen

@@ -4,12 +4,15 @@ import csv
 import json
 import os
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from clclsa import cli
 from clclsa import data as dt
+from clclsa import evaluation as ev
+from clclsa import model as md
 from clclsa import train as tr
 from tests.test_train import raising_stub
 
@@ -228,6 +231,67 @@ class TestGridCommand:
         assert len(lines) == 2  # complete data: lambda_co collapses to {0}
 
 
+class TestPreset:
+    def test_preset_fills_the_model_section_under_set(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run(["synth", "--n", "20", "--views", "3", "--classes", "2",
+                    "--dims", "200,200,200", "--seed", "1", "--out", str(data)]) == 0
+        assert run(["train", "--data", str(data), "--seed", "2", "--out", str(out),
+                    "--preset", "rosmap", "--epochs", "1",
+                    "--set", "model.dropout_p=0.0"]) == 0
+        model = json.loads((out / "config.json").read_text())["model"]
+        preset = json.loads(json.dumps(asdict(md.preset("rosmap"))))
+        assert preset["dropout_p"] != 0.0
+        assert model == {**preset, "dropout_p": 0.0}
+        assert md.load_checkpoint(str(out / "checkpoint.ckpt")).config == \
+            md.ModelConfig(**model)
+
+
+class TestFailedRunsKeepTheirManifest:
+    def test_aborted_train_exits_two_with_its_manifest(self, tmp_path, synth_dir, capsys,
+                                                      monkeypatch):
+        def aborting(ds, model_config, cfg):
+            params = md.CLCLSAParams.init_random(model_config, cfg.seed)
+            raise tr.TrainingAborted("l_cl", 0, params, [])
+
+        monkeypatch.setattr(tr, "train", aborting)
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(synth_dir), "--out", str(out), *TRAIN_ARGS]) == 2
+        assert "term 'l_cl' is non-finite" in capsys.readouterr().err
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "train" and manifest["seeds"] == [3]
+        assert manifest["artifacts"] == sorted(
+            str(out / name) for name in ("checkpoint.ckpt", "epochs.csv", "config.json"))
+        assert sorted(manifest["input_digests"]) == sorted(
+            str(synth_dir / name) for name in ("view0.csv", "view1.csv", "view2.csv",
+                                               "labels.csv"))
+
+    def test_grid_with_no_trial_succeeding_exits_two_with_its_manifest(
+            self, tmp_path, synth_dir, capsys, monkeypatch):
+        monkeypatch.setattr(ev, "fit_and_score", lambda *args: (None, "stub abort"))
+        out = tmp_path / "grid"
+        assert run(["grid", "--data", str(synth_dir), "--out", str(out), "--seed", "4",
+                    "--set", "grid.lambda_al_values=[0.0,0.1]",
+                    "--set", "grid.lambda_cl_values=[0.0]"]) == 2
+        assert "no trial succeeded" in capsys.readouterr().err
+        with open(out / "grid.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["lambda_al"], r["metric"], r["status"], r["detail"]) for r in rows] == [
+            ("0.0", "", "failed", "stub abort"), ("0.1", "", "failed", "stub abort")]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["command"] == "grid" and manifest["artifacts"] == [str(out / "grid.csv")]
+
+    def test_eval_to_stdout_writes_no_manifest(self, tmp_path, synth_dir, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(synth_dir), "--out", str(out), *TRAIN_ARGS]) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
+                    "--data", str(synth_dir)]) == 0
+        assert json.loads(capsys.readouterr().out)["n_subjects"] == 60
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 class TestAblateAndSurface:
     def test_ablate_runs_variants(self, tmp_path, synth_dir):
         out = tmp_path / "abl"
@@ -411,9 +475,19 @@ class TestRunValuesRejectedBeforeTraining:
          "lambda_xx"),
         (["surface", "--eta", "0.2", *SURFACE_AXES[:4], "--vary", "lambda_co=0.2"],
          "lambda_al, lambda_co, lambda_co"),
+        (["train", "--lambda-al", "nan"], "lambda_al must be finite, got nan"),
+        (["train", "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["train", "--initial-lr", "nan"], "initial_lr must be positive and finite, got nan"),
+        (["train", "--set", "train.lr_decay_factor=NaN"],
+         "lr_decay_factor must be positive and finite, got nan"),
+        (["grid", "--set", "grid.lambda_al_values=[0.0,NaN]"], "lambda_al must be finite"),
+        (["ablate", "--lambda-co-fixed", "nan"], "lambda_co must be finite"),
+        (["surface", "--eta", "0.2", "--fix", "lambda_al=nan", *SURFACE_AXES[2:]],
+         "lambda_al must be finite"),
     ], ids=["sweep_eta", "ablate_eta", "grid_weight", "ablate_weight", "surface_eta",
             "surface_fix_weight", "surface_vary_weight", "surface_fix_name",
-            "surface_vary_twice"])
+            "surface_vary_twice", "train_nan_weight", "train_inf_alpha", "train_nan_lr",
+            "train_nan_decay", "grid_nan_weight", "ablate_nan_weight", "surface_nan_weight"])
     def test_exit_one_before_any_training(self, tmp_path, synth_dir, capsys, monkeypatch,
                                           flags, offending):
         monkeypatch.setattr(tr, "train", raising_stub("train"))
@@ -433,6 +507,12 @@ class TestRunValuesRejectedBeforeTraining:
                     "--set", "model.num_classes=4"]) == 1
         err = capsys.readouterr().err
         assert "classes 4" in err and "has 2" in err
+        assert not out.exists()
+
+    def test_nan_snr_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["synth", "--snr", "nan", "--seed", "1", "--out", str(out)]) == 1
+        assert "snr must be positive, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fractional_width_is_usage_error_before_training(self, tmp_path, synth_dir,

@@ -94,6 +94,31 @@ class TestLoadWrite:
                 [tmp_path / f"view{i}.csv" for i in range(3)],
                 tmp_path / "labels.csv", class_count=2)
 
+    def test_non_integer_label_reports_its_line(self, tmp_path):
+        dt.write_dataset(small_dataset(), tmp_path)
+        (tmp_path / "labels.csv").write_text("0\n1\n\n1.5\n0\n1\n")
+        with pytest.raises(dt.ParseError, match="labels.csv:4: label '1.5' is not an integer"):
+            dt.load_dataset_dir(tmp_path)
+
+    def test_label_count_mismatch_rejected(self, tmp_path):
+        dt.write_dataset(small_dataset(), tmp_path)
+        (tmp_path / "labels.csv").write_text("0\n1\n0\n")
+        with pytest.raises(dt.ParseError, match="labels.csv: 3 labels for 5 subjects"):
+            dt.load_dataset_dir(tmp_path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n" + "1,1\n" * 5, r"mask must be 5x3, got \(5, 2\)"),
+        ("a,b,c\n" + "1,1,1\n" * 4, r"mask must be 5x3, got \(4, 3\)"),
+        ("a,b,c\n" + "1,1,1\n" * 4 + "1,0.5,1\n", "mask entries must be 0 or 1"),
+        ("a,b,c\n" + "1,1,1\n" * 4 + "2,1,1\n", "mask entries must be 0 or 1"),
+    ], ids=["too_few_columns", "too_few_rows", "fraction", "two"])
+    def test_malformed_mask_rejected(self, tmp_path, text, message):
+        dt.write_dataset(small_dataset(), tmp_path)
+        (tmp_path / "mask.csv").write_text(text)
+        with pytest.raises(dt.ParseError, match=message):
+            dt.load_dataset([tmp_path / f"view{i}.csv" for i in range(3)],
+                            tmp_path / "labels.csv", mask_file=tmp_path / "mask.csv")
+
     def test_non_numeric_cell_reports_location(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,2.0\n1.0,oops\n")
@@ -399,6 +424,11 @@ class TestSynthGenerate:
         ds = dt.synth_generate(spec)
         assert (ds.labels == 0).all()
         assert (np.zeros(30, dtype=int) == ds.labels).mean() == 1.0
+
+    @pytest.mark.parametrize("snr", [0.0, -1.0, float("nan")])
+    def test_non_positive_or_nan_snr_rejected(self, snr):
+        with pytest.raises(ValueError, match=f"snr must be positive, got {snr}"):
+            dt.SyntheticSpec(snr=snr)
 
     def test_nearest_centroid_oracle_at_extreme_snr(self):
         spec = dt.SyntheticSpec(n_subjects=200, class_count=3, snr=1e6, seed=5)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clclsa import data as dt
 from clclsa import evaluation as ev
@@ -83,6 +85,32 @@ class TestAucBinary:
                     wins += 1.0 if p > q else (0.5 if p == q else 0.0)
             oracle = wins / (len(pos) * len(neg))
             assert abs(fast - oracle) < 1e-12, f"trial {trial}"
+
+
+def loop_average_ranks(scores):
+    """The reference: walk the mergesort order, one run of equal scores at a time."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+# a few distinct values, so runs of ties are common, plus NaN, which ties with nothing
+TIED_SCORES = st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.inf, np.nan]),
+                       max_size=40)
+
+
+@given(TIED_SCORES)
+def test_average_ranks_match_the_loop_bit_for_bit(values):
+    scores = np.array(values, dtype=np.float64)
+    assert ev._average_ranks(scores).tobytes() == loop_average_ranks(scores).tobytes()
 
 
 class TestMulticlassF1:
@@ -169,6 +197,16 @@ class TestMetricsReport:
         yhat = np.full((4, 3), 1 / 3)
         report = ev.compute_report(yhat, np.array([0, 1, 2, 0]), 3)
         assert report.f1 is None and report.auc is None
+
+    @given(st.integers(2, 4), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                       min_size=1, max_size=30))
+    def test_f1_fields_equal_the_public_functions_bit_for_bit(self, classes, pairs):
+        pred = np.array([p % classes for p, _ in pairs])
+        true = np.array([t % classes for _, t in pairs])
+        report = ev.compute_report(np.eye(classes)[pred], true, classes)
+        assert report.macro_f1 == ev.multiclass_f1(pred, true, classes, "macro")
+        assert report.weighted_f1 == ev.multiclass_f1(pred, true, classes, "weighted")
+        assert report.f1 == (ev.f1_binary(pred, true) if classes == 2 else None)
 
     def test_confusion_sums_to_n_and_acc_is_trace(self):
         rng = np.random.default_rng(5)
@@ -368,6 +406,16 @@ class TestAbortedTrials:
         assert [(r["eta"], r["status"]) for r in parsed] == [
             (0.0, "ok"), (0.0, "ok"), (0.3, "failed"), (0.3, "failed"),
             (0.0, "aggregate-mean"), (0.0, "aggregate-std")]
+
+
+def test_write_table_cells(tmp_path):
+    """None is empty, a float (numpy's too) is its exact repr, a list's cells are
+    joined by ";", and other values are written as csv writes them."""
+    path = tmp_path / "t.csv"
+    ev.write_table(path, ["none", "float", "np", "list", "int", "text"],
+                   [[None, 0.1, np.float64(1 / 3), [1.5, np.float64(-0.0)], 3, "a,b"]])
+    assert path.read_bytes() == (b"none,float,np,list,int,text\r\n"
+                                 b',0.1,0.3333333333333333,1.5;-0.0,3,"a,b"\r\n')
 
 
 class TestEmitReport:

@@ -97,7 +97,7 @@ def tape_forward_view(x, params, view, mode, rng=None):
     matt = nm.sigmoid(nm.affine(xhat, p[f"view{view}.gate.W"], p[f"view{view}.gate.b"]))
     zhat = nm.mul(xhat, matt)
     yhat = nm.softmax_rows(nm.affine(zhat, p[f"view{view}.aux.W"], p[f"view{view}.aux.b"]))
-    return md.ViewForward(fatt=fatt, xhat=xhat, matt=matt, zhat=zhat, yhat=yhat)
+    return md.ViewForward(matt=matt, zhat=zhat, yhat=yhat)
 
 
 def tape_complete_missing(zhats, mask, params):
@@ -278,23 +278,28 @@ def test_unknown_mode_rejected(entry, mode):
 
 
 class TestForwardView:
+    """`forward_view`'s outputs; the feature gate `fatt` and the embedding
+    `xhat`, which it does not return, are read from `_view_latent`, the kernel
+    it runs."""
+
     def test_zero_feature_attention_halves_input(self):
         params = zero_view_params(tiny_params(), 0)
         x = tiny_views()[0]
-        vf = md.forward_view(nm.constant(x), params, 0, "eval")
-        np.testing.assert_allclose(vf.fatt.data, 0.5, atol=1e-15)
+        _, _, (fatt, _, _, xhat, _) = md._view_latent(x, params, 0, "eval")
+        np.testing.assert_allclose(fatt, 0.5, atol=1e-15)
         # xhat therefore embeds x/2
         w, b = params["view0.embed.W"].data, params["view0.embed.b"].data
         expected = np.maximum((x * 0.5) @ w + b, 0.0)
-        np.testing.assert_allclose(vf.xhat.data, expected, atol=1e-12)
+        np.testing.assert_allclose(xhat, expected, atol=1e-12)
 
     def test_zero_gate_gives_half_scaling(self):
         params = tiny_params()
         for key in ("view1.gate.W", "view1.gate.b"):
             params[key].data = np.zeros_like(params[key].data)
         vf = md.forward_view(nm.constant(tiny_views()[1]), params, 1, "eval")
+        xhat = md._view_latent(tiny_views()[1], params, 1, "eval")[2][3]
         np.testing.assert_allclose(vf.matt.data, 0.5, atol=1e-15)
-        np.testing.assert_allclose(vf.zhat.data, 0.5 * vf.xhat.data, atol=1e-15)
+        np.testing.assert_allclose(vf.zhat.data, 0.5 * xhat, atol=1e-15)
 
     def test_rosmap_preset_shapes(self):
         cfg = md.preset("rosmap")
@@ -308,7 +313,8 @@ class TestForwardView:
     def test_attention_ranges_and_probability_rows(self):
         params = tiny_params()
         vf = md.forward_view(nm.constant(tiny_views()[2]), params, 2, "eval")
-        assert ((vf.fatt.data > 0) & (vf.fatt.data < 1)).all()
+        fatt = md._view_latent(tiny_views()[2], params, 2, "eval")[2][0]
+        assert ((fatt > 0) & (fatt < 1)).all()
         assert ((vf.matt.data > 0) & (vf.matt.data < 1)).all()
         np.testing.assert_allclose(vf.yhat.data.sum(axis=1), 1.0, atol=1e-12)
 
@@ -751,7 +757,7 @@ class TestFusedNodesMatchTape:
         vf = forward_view(x, params, 1, mode, nm.RngStream(5, "dropout/view1"))
         grads = nm.gradients(weighted_sum([getattr(vf, name) for name in consumed]),
                              dict(params.tensors(), x=x))
-        return [getattr(vf, name).data for name in ("fatt", "xhat", "matt", "zhat", "yhat")] \
+        return [getattr(vf, name).data for name in ("matt", "zhat", "yhat")] \
             + list(grads.values())
 
     @pytest.mark.parametrize("consumed", VIEW_OUTPUTS, ids="+".join)
@@ -1195,6 +1201,14 @@ class TestTotalLoss:
     def test_non_finite_part_names_term(self):
         with pytest.raises(md.NumericError, match="l_co"):
             md.total_loss(1.0, 2.0, float("inf"), 4.0, md.LossWeights(1, 1, 1))
+
+
+@pytest.mark.parametrize("name", ["lambda_al", "lambda_co", "lambda_cl", "alpha"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_loss_weight_rejected(name, value):
+    # NaN passes a bare `x < 0` check, and `lambda > 0` would then switch its term off
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        md.LossWeights(**{name: value})
 
 
 class TestBreakdownReconstruction:

@@ -84,6 +84,13 @@ class TestLrSchedule:
             with pytest.raises(ValueError, match="lr_decay_factor"):
                 tr.TrainConfig(lr_decay_factor=factor)
 
+    @pytest.mark.parametrize("name", ["initial_lr", "lr_decay_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, name, value):
+        # NaN passes a bare `x <= 0` check; an infinite rate would only abort mid-training
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+            tr.TrainConfig(**{name: value})
+
 
 class TestTrain:
     def test_zero_weights_reduce_to_classification(self):
@@ -200,6 +207,47 @@ class TestTrain:
         assert len(states) == 7
         assert states[0].t == 7  # one shared state, stepped once per epoch
 
+    def test_trailing_one_row_batch_merges_into_the_one_before(self, monkeypatch):
+        sizes = []
+        build = md.build_objective
+
+        def recording(views, mask, labels, *args, **kwargs):
+            sizes.append(len(labels))
+            return build(views, mask, labels, *args, **kwargs)
+
+        monkeypatch.setattr(md, "build_objective", recording)
+        # 25 = 3 * 8 + 1: the last batch would hold one row, which batch norm cannot take
+        tr.train(tiny_dataset(n=25), TINY_MODEL, quick_config(epochs=2, batch_size=8))
+        assert sizes == [8, 8, 9] * 2
+
+    def test_non_finite_gradient_aborts_with_the_state_before_its_step(self, monkeypatch):
+        ds = tiny_dataset(eta=0.3)
+        cfg = quick_config(epochs=3)
+        calls = []
+        real = tr.gradients
+
+        def poisoned_second_step(total, tensors):
+            grads = real(total, tensors)
+            calls.append(None)
+            if len(calls) == 2:
+                next(iter(grads.values()))[0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(tr, "gradients", poisoned_second_step)
+        with pytest.raises(tr.TrainingAborted) as info:
+            tr.train(ds, TINY_MODEL, cfg)
+        monkeypatch.undo()
+        exc = info.value
+        assert (exc.term, exc.epoch, len(exc.logs)) == ("gradient", 1, 1)
+        before, logs = tr.train(ds, TINY_MODEL, replace(cfg, epochs=1))
+        assert exc.logs == logs
+        for name, t in before.tensors().items():
+            assert exc.params[name].data.tobytes() == t.data.tobytes(), name
+        for name, st in before.bn_states.items():
+            got = exc.params.bn_states[name]
+            assert got.running_mean.tobytes() == st.running_mean.tobytes(), name
+            assert got.running_var.tobytes() == st.running_var.tobytes(), name
+
     def test_minibatch_mode_runs(self):
         ds = tiny_dataset(n=30)
         cfg = quick_config(epochs=3, batch_size=8)
@@ -291,6 +339,10 @@ class TestGridSearch:
     def test_negative_candidate_rejected(self):
         with pytest.raises(ValueError, match="lambda_cl must be >= 0, got -1"):
             tr.GridSpec(lambda_cl_values=(0.0, 0.1, -1))
+
+    def test_non_finite_candidate_rejected(self):
+        with pytest.raises(ValueError, match="lambda_al must be finite, got nan"):
+            tr.GridSpec(lambda_al_values=(float("nan"),))
 
     def test_tie_rule_picks_smallest_triple(self):
         trials = [
