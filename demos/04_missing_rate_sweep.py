@@ -15,9 +15,8 @@ tcfg = train.TrainConfig(epochs=250, initial_lr=2e-3, lr_schedule="constant",
                          weights=model.LossWeights(0.01, 0.1, 0.01, 9.0))
 
 print("== sweep: train and evaluate at each missing rate (2 seeds each) ==")
-result = evaluation.missing_rate_sweep(ds, cfg, tcfg,
-                                       etas=[0.0, 0.2, 0.4, 0.6, 0.8],
-                                       seeds=[0, 1])
+trials = evaluation.sweep_trials(tcfg.weights, etas=[0.0, 0.2, 0.4, 0.6, 0.8], seeds=[0, 1])
+result = evaluation.run_trials(ds, cfg, tcfg, trials)
 print(f"{'eta':>5} {'mean acc':>9} {'std':>7}  bar")
 for point in result.points:
     acc = point.mean["acc"]

@@ -31,7 +31,8 @@ print("\n== component ablation at two missing rates ==")
 spec = evaluation.AblationSpec(etas=(0.2, 0.4), seeds=(0, 1), lambda_co=0.1)
 tcfg = train.TrainConfig(epochs=250, initial_lr=2e-3, lr_schedule="constant",
                          weights=model.LossWeights(0.01, 0.1, 0.01, 9.0))
-points = evaluation.ablation_run(ds, spec, cfg, tcfg).points
+trials = evaluation.ablation_trials(spec, tcfg.weights)
+points = evaluation.run_trials(ds, cfg, tcfg, trials).points
 print(f"{'variant':>9}  " + "  ".join(f"eta={e}" for e in spec.etas))
 for variant in spec.variants:
     accs = [p.mean["acc"] for p in points if p.variant == variant]

@@ -12,10 +12,13 @@ given --out. Every subcommand except eval requires --seed; re-running the
 same command line reproduces every emitted number bitwise in single-thread
 mode.
 
+sweep, ablate and surface share one body: an `evaluation` builder checks the
+command's whole trial list, then `evaluation.run_trials` runs it.
+
 Exit codes: 0 success, 1 usage error (including an unknown config section or
-key, a config value its constructor rejects, a malformed flag value, --etas
-not strictly ascending, a repeated --seeds or --vary value, a missing rate
-outside [0, 1] or a negative loss weight given to a runner, or a model or
+key, a config value its constructor rejects, a malformed flag value, a trial
+list its builder rejects, such as --etas out of order, a trial listed twice,
+a missing rate outside [0, 1] or a negative loss weight, or a model or
 checkpoint whose views, widths or classes do not match the data), 2
 runtime/numeric failure.
 """
@@ -240,12 +243,6 @@ def _check_model_fits(config, ds):
             raise UsageError(f"the model has {what} {want}, the data has {got}")
 
 
-def _check_etas(etas):
-    """Reject, before any training, a missing rate `data.MissingnessSpec` rejects."""
-    for eta in etas:
-        _build(dt.MissingnessSpec, {"eta": eta, "seed": 0}, "missing rate")
-
-
 def _setup(args, config):
     """Dataset, model and train configs, and the resolved config of a training command."""
     ds = dt.load_dataset_dir(args.data, scale=args.scale)
@@ -258,14 +255,6 @@ def _setup(args, config):
                                             "train": asdict(train_config)}
 
 
-def _emit(args, stem, result):
-    """Write a runner's report; returns its directory and path."""
-    out = _out_dir(args)
-    report_path = os.path.join(out, f"{stem}.{args.format}")
-    ev.emit_report(result.rows, report_path, fmt=args.format)
-    return out, report_path
-
-
 # argparse `type=` converters: argparse reports a ValueError from one as a usage
 # error that names the converter ("invalid float_list value: 'a,b'").
 
@@ -274,26 +263,8 @@ def float_list(text):
     return [float(tok) for tok in text.split(",") if tok != ""]
 
 
-def ascending_float_list(text):
-    values = float_list(text)
-    if values != sorted(set(values)):
-        raise ValueError(text)
-    return values
-
-
 def int_list(text):
     return [int(tok) for tok in text.split(",") if tok != ""]
-
-
-def distinct(convert):
-    """`convert` for a list in which no value repeats: a runner trains each
-    (variant, eta, seed) once."""
-    def distinct_list(text):
-        values = convert(text)
-        if len(set(values)) != len(values):
-            raise ValueError(text)
-        return values
-    return distinct_list
 
 
 def _assignment(convert):
@@ -397,19 +368,44 @@ def _cmd_eval(args, config):
     return 0, (out_dir, resolved, [], [args.out])
 
 
-def _cmd_sweep(args, config):
-    _check_etas(args.etas)
+def _sweep(args, weights, seeds):
+    return (ev.sweep_trials(weights, args.etas, seeds),
+            {"etas": args.etas, "seeds": seeds, "mask_test": not args.complete_test})
+
+
+def _ablate(args, weights, seeds):
+    spec = ev.AblationSpec(etas=tuple(args.etas), seeds=tuple(seeds),
+                           lambda_co=args.lambda_co_fixed)
+    return (ev.ablation_trials(spec, weights),
+            {"etas": args.etas, "seeds": seeds, "lambda_co": args.lambda_co_fixed})
+
+
+def _surface(args, weights, seeds):
+    return (ev.surface_trials(weights, args.fix, args.vary, args.eta, seeds),
+            {"fixed": dict([args.fix]), "grids": dict(args.vary), "eta": args.eta,
+             "seeds": seeds})
+
+
+def _cmd_run(args, config):
+    """sweep, ablate and surface: the command's trial list, checked by its
+    `evaluation` builder before any training, run and written as a report."""
     ds, model_config, train_config, resolved = _setup(args, config)
     seeds = args.seeds or [args.seed]
-    result = ev.missing_rate_sweep(ds, model_config, train_config, args.etas, seeds,
-                                   mask_test=not args.complete_test,
-                                   dataset_name=os.path.basename(os.path.normpath(args.data)))
-    resolved["sweep"] = {"etas": args.etas, "seeds": seeds, "mask_test": not args.complete_test}
-    out, report = _emit(args, "sweep", result)
-    for point in result.points:
-        acc = point.mean.get("acc")
-        print(f"eta={point.eta}: mean acc {acc if acc is None else round(acc, 4)} "
-              f"({len(point.reports)} ok, {point.failures} failed)")
+    try:
+        trials, resolved[args.command] = args.trials(args, train_config.weights, seeds)
+    except ValueError as exc:
+        raise UsageError(f"{args.command}: {exc}") from None
+    result = ev.run_trials(ds, model_config, train_config, trials,
+                           mask_test=not getattr(args, "complete_test", False),
+                           dataset_name=os.path.basename(os.path.normpath(args.data)))
+    out = _out_dir(args)
+    report = os.path.join(out, f"{args.report}.{args.format}")
+    ev.emit_report(result.rows, report, fmt=args.format)
+    for p in result.points:
+        acc = p.mean.get("acc")
+        print(f"{p.variant} eta={p.eta}: mean acc {acc if acc is None else round(acc, 4)} "
+              f"({len(p.reports)} ok, {p.failures} failed)")
+    print(f"report at {report}")
     return 0, (out, resolved, seeds, [report])
 
 
@@ -432,46 +428,6 @@ def _cmd_grid(args, config):
           f"lambda_cl={w.lambda_cl} ({grid.metric}={result.best.metric:.4f}); "
           f"summary at {summary}")
     return 0, written
-
-
-def _cmd_ablate(args, config):
-    _check_etas(args.etas)
-    _build(md.LossWeights, {"lambda_co": args.lambda_co_fixed}, "--lambda-co-fixed")
-    ds, model_config, train_config, resolved = _setup(args, config)
-    spec = ev.AblationSpec(etas=tuple(args.etas), seeds=tuple(args.seeds or [args.seed]),
-                           lambda_co=args.lambda_co_fixed)
-    result = ev.ablation_run(ds, spec, model_config, train_config,
-                             dataset_name=os.path.basename(os.path.normpath(args.data)))
-    resolved["ablate"] = {"etas": list(spec.etas), "seeds": list(spec.seeds),
-                          "lambda_co": spec.lambda_co}
-    out, report = _emit(args, "ablation", result)
-    for variant in spec.variants:
-        accs = [p.mean.get("acc") for p in result.points if p.variant == variant]
-        print(f"{variant}: mean acc per eta {[None if a is None else round(a, 4) for a in accs]}")
-    return 0, (out, resolved, list(spec.seeds), [report])
-
-
-def _cmd_surface(args, config):
-    names = [name for name, _ in [args.fix, *args.vary]]
-    if sorted(names) != sorted(ev.SURFACE_WEIGHTS):
-        raise UsageError(f"surface needs one --fix and two --vary naming each of "
-                         f"{', '.join(ev.SURFACE_WEIGHTS)} once, got {', '.join(names)}")
-    for name, values in [(args.fix[0], [args.fix[1]]), *args.vary]:
-        for value in values:
-            _build(md.LossWeights, {name: value}, "surface")
-    _check_etas([args.eta])
-    ds, model_config, train_config, resolved = _setup(args, config)
-    fixed = dict([args.fix])
-    grids = dict(args.vary)
-    seeds = args.seeds or [args.seed]
-    result = ev.hyperparam_surface(ds, model_config, train_config, fixed, grids,
-                                   args.eta, seeds,
-                                   dataset_name=os.path.basename(os.path.normpath(args.data)))
-    resolved["surface"] = {"fixed": fixed, "grids": grids, "eta": args.eta, "seeds": seeds}
-    out, report = _emit(args, "surface", result)
-    ok = sum(1 for r in result.rows if r.status == "ok")
-    print(f"surface: {ok}/{len(result.rows)} trials ok; table at {report}")
-    return 0, (out, resolved, seeds, [report])
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +497,14 @@ def _build_parser():
     p = sub.add_parser("sweep", help="missing-rate sweep")
     common(p)
     training_flags(p)
-    p.add_argument("--etas", type=ascending_float_list, required=True,
+    p.add_argument("--etas", type=float_list, required=True,
                    help="comma-separated missing rates")
-    p.add_argument("--seeds", type=distinct(int_list),
+    p.add_argument("--seeds", type=int_list,
                    help="comma-separated seeds (default: --seed)")
     p.add_argument("--complete-test", action="store_true",
                    help="evaluate on complete test data instead of masked")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_run, trials=_sweep, report="sweep")
 
     p = sub.add_parser("grid", help="grid search over loss weights")
     common(p)
@@ -558,24 +514,24 @@ def _build_parser():
     p = sub.add_parser("ablate", help="component ablation across missing rates")
     common(p)
     training_flags(p)
-    p.add_argument("--etas", type=ascending_float_list, default="0.2,0.4")
-    p.add_argument("--seeds", type=distinct(int_list))
+    p.add_argument("--etas", type=float_list, default="0.2,0.4")
+    p.add_argument("--seeds", type=int_list)
     p.add_argument("--lambda-co-fixed", dest="lambda_co_fixed", type=float, default=0.1)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_ablate)
+    p.set_defaults(func=_cmd_run, trials=_ablate, report="ablation")
 
     p = sub.add_parser("surface", help="hyperparameter surface at fixed eta")
     common(p)
     training_flags(p)
     p.add_argument("--fix", type=_assignment(float), required=True, metavar="NAME=VALUE",
                    help="the fixed weight, e.g. lambda_al=0.1")
-    p.add_argument("--vary", type=_assignment(distinct(float_list)), action="append",
+    p.add_argument("--vary", type=_assignment(float_list), action="append",
                    required=True, metavar="NAME=V1,V2,...",
                    help="a varying weight grid (give twice)")
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--seeds", type=distinct(int_list))
+    p.add_argument("--seeds", type=int_list)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_surface)
+    p.set_defaults(func=_cmd_run, trials=_surface, report="surface")
 
     return parser
 

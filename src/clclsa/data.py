@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import RngStream
+from .numerics import RngStream, integer
 
 
 class ParseError(ValueError):
@@ -420,7 +420,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "view_dims", tuple(int(d) for d in self.view_dims))
+        for name in ("n_subjects", "n_views", "class_count", "shared_dim"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        object.__setattr__(self, "view_dims",
+                           tuple(integer("view_dims", d) for d in self.view_dims))
         if self.n_subjects < 1 or self.n_views < 1 or self.class_count < 1 or self.shared_dim < 1:
             raise ValueError("all counts must be >= 1")
         if len(self.view_dims) != self.n_views or any(d < 1 for d in self.view_dims):

@@ -1,12 +1,12 @@
 """Classification metrics and the experiment runners.
 
 Metrics are pure functions with documented degenerate-case conventions
-(zero-denominator F1 is 0, AUC ties earn half credit). The runners reproduce
-the experiment shapes: missing-rate sweeps, partial-view runs, hyperparameter
-surfaces, and component ablations. Each checks every value it was given before
-the first training and returns a SweepResult: one long-format row per trial,
-so aggregates can always be recomputed, and one point per (dataset, variant,
-eta) group.
+(zero-denominator F1 is 0, AUC ties earn half credit). The experiment shapes
+are missing-rate sweeps, partial-view runs, hyperparameter surfaces, and
+component ablations. A builder per shape checks every value it was given and
+returns its trial list; `run_trials` runs any such list and returns a
+SweepResult: one long-format row per trial, so aggregates can always be
+recomputed, and one point per (dataset, variant, eta) group.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def run_trial(ds: MultiOmicsDataset, model_config: ModelConfig,
 
 
 # ---------------------------------------------------------------------------
-# Runners: each builds and checks its whole trial list, then runs `_run_trials`
+# Runners: a builder checks and returns a whole trial list, `run_trials` runs it
 
 
 @dataclass
@@ -290,18 +290,24 @@ def _checked(etas, seeds) -> list:
     return etas
 
 
-def _run_trials(ds: MultiOmicsDataset, model_config: ModelConfig,
-                train_config: tr.TrainConfig, trials, mask_test: bool = True,
-                dataset_name: str = "dataset") -> SweepResult:
-    """Run trials (variant, eta, seed, weights, views) in order; `views`, when
-    not None, restricts the dataset and the model to that view subset. A
-    (variant, eta, seed) listed twice is rejected before any training."""
+def _distinct(trials) -> list:
+    """`trials`, given no (variant, eta, seed) is listed twice: each would
+    train the same model again and count twice in its point."""
     keys = [trial[:3] for trial in trials]
     for i, (variant, eta, seed) in enumerate(keys):
         if (variant, eta, seed) in keys[:i]:
             raise ValueError(f"trial {variant!r} at eta {eta}, seed {seed} is listed twice")
+    return trials
+
+
+def run_trials(ds: MultiOmicsDataset, model_config: ModelConfig,
+               train_config: tr.TrainConfig, trials, mask_test: bool = True,
+               dataset_name: str = "dataset") -> SweepResult:
+    """Run trials (variant, eta, seed, weights, views) in order; `views`, when
+    not None, restricts the dataset and the model to that view subset. A
+    (variant, eta, seed) listed twice is rejected before any training."""
     rows = []
-    for variant, eta, seed, weights, views in trials:
+    for variant, eta, seed, weights, views in _distinct(trials):
         trial_ds, trial_config = ds, model_config
         if views is not None:
             trial_ds = restrict_views(ds, views)
@@ -314,21 +320,16 @@ def _run_trials(ds: MultiOmicsDataset, model_config: ModelConfig,
     return SweepResult(points=_points(rows), rows=rows)
 
 
-def missing_rate_sweep(ds: MultiOmicsDataset, model_config: ModelConfig,
-                       train_config: tr.TrainConfig, etas, seeds,
-                       mask_test: bool = True, dataset_name: str = "dataset",
-                       variant: str = "clclsa") -> SweepResult:
-    """Train/evaluate at each missing rate, aggregating mean/std over seeds."""
-    trials = [(variant, eta, seed, train_config.weights, None)
-              for eta in _checked(etas, seeds) for seed in seeds]
-    return _run_trials(ds, model_config, train_config, trials, mask_test, dataset_name)
+def sweep_trials(weights: LossWeights, etas, seeds, variant: str = "clclsa") -> list:
+    """A missing-rate sweep: each eta with each seed, at one weight set."""
+    return _distinct([(variant, eta, seed, weights, None)
+                      for eta in _checked(etas, seeds) for seed in seeds])
 
 
-def partial_omics_run(ds: MultiOmicsDataset, view_subsets, model_config: ModelConfig,
-                      train_config: tr.TrainConfig, etas, seeds,
-                      dataset_name: str = "dataset", mask_test: bool = True) -> SweepResult:
-    """Missing-rate sweep per view subset, named by its views joined by "+";
-    models shrink to the subset's M."""
+def partial_omics_trials(ds: MultiOmicsDataset, view_subsets, weights: LossWeights,
+                         etas, seeds) -> list:
+    """A missing-rate sweep per view subset of `ds`, named by its views joined
+    by "+"; `run_trials` shrinks each model to its subset's M."""
     etas = _checked(etas, seeds)
     trials = []
     for subset in map(tuple, view_subsets):
@@ -341,37 +342,40 @@ def partial_omics_run(ds: MultiOmicsDataset, view_subsets, model_config: ModelCo
             if subset.count(i) > 1:
                 raise ValueError(f"view subset {subset} names view {i} twice")
         name = "+".join(ds.view_names[i] for i in subset)
-        trials += [(name, eta, seed, train_config.weights, subset)
-                   for eta in etas for seed in seeds]
-    return _run_trials(ds, model_config, train_config, trials, mask_test, dataset_name)
+        trials += [(name, eta, seed, weights, subset) for eta in etas for seed in seeds]
+    return _distinct(trials)
 
 
 # the loss weights a surface fixes one of and varies two of
 SURFACE_WEIGHTS = ("lambda_al", "lambda_co", "lambda_cl")
 
 
-def hyperparam_surface(ds: MultiOmicsDataset, model_config: ModelConfig,
-                       train_config: tr.TrainConfig, fixed: dict, grids: dict,
-                       eta: float, seeds, dataset_name: str = "dataset") -> SweepResult:
-    """Train per grid cell at a fixed missing rate; each cell is one variant.
+def surface_trials(weights: LossWeights, fix, vary, eta: float, seeds) -> list:
+    """One variant per cell of a weight grid at a fixed missing rate.
 
-    Exactly one weight is fixed and the other two vary, mirroring the
-    three-panel analysis. All cells share each seed so differences are
-    attributable to the weights alone.
+    `fix` is one (name, value) pair and `vary` two (name, values) pairs that
+    together name each of SURFACE_WEIGHTS once, mirroring the three-panel
+    analysis; `weights` gives alpha. All cells share each seed so differences
+    are attributable to the weights alone.
     """
-    if set(fixed) | set(grids) != set(SURFACE_WEIGHTS) or len(fixed) != 1 or len(grids) != 2:
-        raise ValueError("need exactly one fixed weight and two varying grids")
+    names = [name for name, _ in [fix, *vary]]
+    if sorted(names) != sorted(SURFACE_WEIGHTS):
+        raise ValueError(f"a surface needs one fixed and two varying weights naming each of "
+                         f"{', '.join(SURFACE_WEIGHTS)} once, got {', '.join(names)}")
+    for name, values in [(fix[0], [fix[1]]), *vary]:
+        for i, value in enumerate(values):  # each one, even beside an empty grid
+            LossWeights(**{name: value})
+            if value in values[:i]:  # 0.0 and -0.0 name two cells of one weight set
+                raise ValueError(f"{name} value {value} is listed twice")
     _checked([eta], seeds)
-    (fixed_name, fixed_value), = fixed.items()
-    (name_a, values_a), (name_b, values_b) = sorted(grids.items())
+    (name_a, values_a), (name_b, values_b) = sorted(vary)
     trials = []
     for va in values_a:
         for vb in values_b:
-            weights = LossWeights(alpha=train_config.weights.alpha,
-                                  **{fixed_name: fixed_value, name_a: va, name_b: vb})
-            trials += [(f"{name_a}={va},{name_b}={vb}", eta, seed, weights, None)
+            cell = LossWeights(alpha=weights.alpha, **{fix[0]: fix[1], name_a: va, name_b: vb})
+            trials += [(f"{name_a}={va},{name_b}={vb}", eta, seed, cell, None)
                        for seed in seeds]
-    return _run_trials(ds, model_config, train_config, trials, dataset_name=dataset_name)
+    return _distinct(trials)
 
 
 ABLATION_VARIANTS = ("plain", "ctst", "aux", "ctst+aux")
@@ -408,15 +412,14 @@ def ablation_weights(variant: str, base: LossWeights, lambda_co: float) -> LossW
     )
 
 
-def ablation_run(ds: MultiOmicsDataset, spec: AblationSpec, model_config: ModelConfig,
-                 train_config: tr.TrainConfig, dataset_name: str = "dataset") -> SweepResult:
-    """Run the component-toggle variants across missing rates."""
+def ablation_trials(spec: AblationSpec, weights: LossWeights) -> list:
+    """The component-toggle variants of `weights` across missing rates."""
     etas = _checked(spec.etas, spec.seeds)
     trials = []
     for variant in spec.variants:
-        weights = ablation_weights(variant, train_config.weights, spec.lambda_co)
-        trials += [(variant, eta, seed, weights, None) for eta in etas for seed in spec.seeds]
-    return _run_trials(ds, model_config, train_config, trials, dataset_name=dataset_name)
+        toggled = ablation_weights(variant, weights, spec.lambda_co)
+        trials += [(variant, eta, seed, toggled, None) for eta in etas for seed in spec.seeds]
+    return _distinct(trials)
 
 
 # ---------------------------------------------------------------------------

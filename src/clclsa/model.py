@@ -22,7 +22,6 @@ import base64
 import functools
 import json
 import math
-import numbers
 import os
 import tempfile
 from collections import OrderedDict
@@ -89,13 +88,6 @@ class NumericError(RuntimeError):
 # Configuration
 
 
-def _integer(field, value):
-    """`value` as an int; a bool or a non-integer (4.7, "4") is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{field} takes integers only, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture description: view count, per-view widths, head sizes."""
@@ -112,9 +104,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("input_dims", "embed_dims", "ae_hidden"):
-            object.__setattr__(self, name, tuple(_integer(name, d) for d in getattr(self, name)))
+            object.__setattr__(self, name, tuple(nm.integer(name, d) for d in getattr(self, name)))
         for name in ("num_views", "num_classes"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, nm.integer(name, getattr(self, name)))
         if self.num_views < 2:
             raise ValueError("at least two views required")
         if len(self.input_dims) != self.num_views or len(self.embed_dims) != self.num_views:

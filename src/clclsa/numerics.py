@@ -24,6 +24,7 @@ replayed independently of call order elsewhere.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "ProbabilityError",
     "BatchSizeError",
     "HyperparameterError",
+    "integer",
     "RngStream",
     "derive_seed",
     "parameter",
@@ -98,6 +100,13 @@ class BatchSizeError(ValueError):
 
 class HyperparameterError(ValueError):
     """An optimizer hyperparameter is outside its legal range."""
+
+
+def integer(field, value):
+    """`value` as an int; a bool or a non-integer (4.7, "4") is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field} takes integers only, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

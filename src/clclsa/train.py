@@ -44,6 +44,9 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "lr_decay_every", "eval_every", "batch_size"):
+            if getattr(self, name) is not None:  # batch_size None is full-batch
+                object.__setattr__(self, name, nm.integer(name, getattr(self, name)))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         for name in ("initial_lr", "lr_decay_factor"):
@@ -58,6 +61,8 @@ class TrainConfig:
             raise ValueError("reduction must be 'mean' or 'sum'")
         if self.batch_size is not None and self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm needs 2 rows)")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
 
 
 @dataclass
@@ -187,6 +192,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.lambda_al_values and self.lambda_co_values and self.lambda_cl_values):
             raise ValueError("candidate sets must be nonempty")
+        if not 0 < self.val_fraction < 1:  # NaN too
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if self.metric not in SELECTION_METRICS:
             raise ValueError(f"metric must be one of {SELECTION_METRICS}, got {self.metric!r}")
         for name in ("lambda_al", "lambda_co", "lambda_cl"):

@@ -302,7 +302,8 @@ class TestCriterion7CompletionBenefit:
         mean_gap = float(np.mean(gaps))
 
         etas = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
-        sweep = ev.missing_rate_sweep(ds, DESK_MODEL, DESK_TRAIN, etas, [0, 1, 2, 3])
+        sweep = ev.run_trials(ds, DESK_MODEL, DESK_TRAIN,
+                              ev.sweep_trials(DESK_TRAIN.weights, etas, [0, 1, 2, 3]))
         means = [p.mean["acc"] for p in sweep.points]
         max_step = max(b - a for a, b in zip(means, means[1:]))
         elapsed = time.time() - start
@@ -321,7 +322,8 @@ class TestCriterion8AblationTrend:
         ds = family_dataset()
         spec = ev.AblationSpec(variants=("plain", "ctst+aux"), etas=(0.2, 0.4),
                                seeds=(0, 1, 2, 3, 4), lambda_co=0.1)
-        points = ev.ablation_run(ds, spec, DESK_MODEL, DESK_TRAIN).points
+        points = ev.run_trials(ds, DESK_MODEL, DESK_TRAIN,
+                               ev.ablation_trials(spec, DESK_TRAIN.weights)).points
         plain = [p.mean["acc"] for p in points if p.variant == "plain"]
         both = [p.mean["acc"] for p in points if p.variant == "ctst+aux"]
         ok = all(b >= p - 0.01 for b, p in zip(both, plain))

@@ -401,7 +401,24 @@ class TestUsageErrors:
         ("train", ["--epochs", "0"], "epochs must be >= 1"),
         ("train", ["--set", "model.dropout_p=1.5"], "dropout_p must be in [0, 1)"),
         ("mask", ["--eta", "1.5"], "mask:"),
-    ], ids=["lr_decay_every", "grid_metric", "epochs", "dropout", "eta"])
+        # a fractional count once wrote config.json, then died in range()
+        ("train", ["--set", "train.epochs=2.5"], "train: epochs takes integers only, got 2.5"),
+        ("train", ["--set", "train.epochs=NaN"], "train: epochs takes integers only, got nan"),
+        ("train", ["--set", "train.batch_size=NaN"],
+         "train: batch_size takes integers only, got nan"),
+        ("train", ["--set", "train.lr_decay_every=1.5"],
+         "train: lr_decay_every takes integers only, got 1.5"),
+        ("train", ["--set", "train.eval_every=1.5"],
+         "train: eval_every takes integers only, got 1.5"),
+        ("train", ["--set", "train.eval_every=-1"], "train: eval_every must be >= 0, got -1"),
+        # 1.5 once exited 2 from the split, naming train_fraction
+        ("grid", ["--set", "grid.val_fraction=1.5"],
+         "grid: val_fraction must be in (0, 1), got 1.5"),
+        ("grid", ["--set", "grid.val_fraction=NaN"],
+         "grid: val_fraction must be in (0, 1), got nan"),
+    ], ids=["lr_decay_every", "grid_metric", "epochs", "dropout", "eta", "epochs_fractional",
+            "epochs_nan", "batch_size_nan", "lr_decay_every_fractional",
+            "eval_every_fractional", "eval_every_negative", "val_fraction", "val_fraction_nan"])
     def test_config_value_rejected_by_its_constructor(self, tmp_path, synth_dir, capsys,
                                                       command, flags, message):
         argv = [command, "--data", str(synth_dir), "--seed", "1",
@@ -458,7 +475,7 @@ class TestRepeatedRunValues:
         monkeypatch.setattr(tr, "train", raising_stub("train"))
         out = tmp_path / "out"
         assert run([*flags, "--data", str(synth_dir), "--seed", "1", "--out", str(out)]) == 1
-        assert "invalid" in capsys.readouterr().err
+        assert "is listed twice" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -524,6 +541,19 @@ class TestRunValuesRejectedBeforeTraining:
                     "--set", "model.embed_dims=[4.7,4.7,4.7]"]) == 1
         assert "model: embed_dims takes integers only, got 4.7" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("synth.n_subjects=10.5", "synth: n_subjects takes integers only, got 10.5"),
+    ("synth.view_dims=[4.7,6,6]", "synth: view_dims takes integers only, got 4.7"),
+    ("synth.shared_dim=NaN", "synth: shared_dim takes integers only, got nan"),
+], ids=["n_subjects", "view_dims", "shared_dim"])
+def test_fractional_synth_count_is_usage_error(tmp_path, capsys, setting, message):
+    """`synth.n_subjects=10.5` once died in the generator with a TypeError."""
+    out = tmp_path / "out"
+    assert run(["synth", "--seed", "1", "--out", str(out), "--set", setting]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestEvalCheckpointMatchesData:

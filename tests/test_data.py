@@ -425,6 +425,22 @@ class TestSynthGenerate:
         assert (ds.labels == 0).all()
         assert (np.zeros(30, dtype=int) == ds.labels).mean() == 1.0
 
+    @pytest.mark.parametrize("name", ["n_subjects", "n_views", "class_count", "shared_dim"])
+    @pytest.mark.parametrize("value", [10.5, 3.0, float("nan"), True])
+    def test_non_integer_count_rejected(self, name, value):
+        # n_subjects=10.5 once died in the generator with a TypeError
+        with pytest.raises(ValueError, match=f"{name} takes integers only, got {value!r}"):
+            dt.SyntheticSpec(**{name: value})
+
+    def test_fractional_view_width_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="view_dims takes integers only, got 4.7"):
+            dt.SyntheticSpec(view_dims=(4.7, 20, 20))
+
+    def test_numpy_integer_counts_become_ints(self):
+        spec = dt.SyntheticSpec(n_subjects=np.int64(30), view_dims=np.array([4, 5, 6]))
+        assert type(spec.n_subjects) is int and spec.view_dims == (4, 5, 6)
+        assert all(type(d) is int for d in spec.view_dims)
+
     @pytest.mark.parametrize("snr", [0.0, -1.0, float("nan")])
     def test_non_positive_or_nan_snr_rejected(self, snr):
         with pytest.raises(ValueError, match=f"snr must be positive, got {snr}"):

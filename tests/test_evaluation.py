@@ -232,55 +232,72 @@ def fast_runner_setup():
 class TestRunners:
     def test_degenerate_sweep_equals_direct_trial(self):
         ds, model_cfg, train_cfg = fast_runner_setup()
-        sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.0], [7])
+        sweep = ev.run_trials(ds, model_cfg, train_cfg,
+                              ev.sweep_trials(train_cfg.weights, [0.0], [7]))
         direct = ev.run_trial(ds, model_cfg, train_cfg, 0.0, 7)
         assert sweep.rows[0].report.acc == direct.report.acc
         assert sweep.points[0].mean["acc"] == direct.report.acc
 
     def test_sweep_engages_each_eta_and_seed(self):
         ds, model_cfg, train_cfg = fast_runner_setup()
-        sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.0, 0.4], [1, 2])
+        sweep = ev.run_trials(ds, model_cfg, train_cfg,
+                              ev.sweep_trials(train_cfg.weights, [0.0, 0.4], [1, 2]))
         assert len(sweep.rows) == 4
         assert [p.eta for p in sweep.points] == [0.0, 0.4]
         for point in sweep.points:
             assert len(point.reports) == 2
 
     def test_unsorted_etas_rejected(self):
-        ds, model_cfg, train_cfg = fast_runner_setup()
-        with pytest.raises(ValueError):
-            ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.4, 0.1], [0])
+        with pytest.raises(ValueError, match="etas must be sorted ascending"):
+            ev.sweep_trials(md.LossWeights(), [0.4, 0.1], [0])
 
     def test_aggregates_recompute_from_rows(self):
         ds, model_cfg, train_cfg = fast_runner_setup()
-        sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.3], [1, 2, 3])
+        sweep = ev.run_trials(ds, model_cfg, train_cfg,
+                              ev.sweep_trials(train_cfg.weights, [0.3], [1, 2, 3]))
         accs = [r.report.acc for r in sweep.rows]
         assert abs(sweep.points[0].mean["acc"] - np.mean(accs)) < 1e-12
         assert abs(sweep.points[0].std["acc"] - np.std(accs, ddof=1)) < 1e-12
 
     def test_partial_omics_shrinks_model(self):
         ds, model_cfg, train_cfg = fast_runner_setup()
-        result = ev.partial_omics_run(ds, [(0, 1)], model_cfg, train_cfg, [0.0], [1])
+        result = ev.run_trials(ds, model_cfg, train_cfg, ev.partial_omics_trials(
+            ds, [(0, 1)], train_cfg.weights, [0.0], [1]))
         assert [p.variant for p in result.points] == ["view0+view1"]
         row = result.rows[0]
         assert row.status == "ok"
 
     def test_partial_omics_singleton_rejected(self):
-        ds, model_cfg, train_cfg = fast_runner_setup()
+        ds, _, train_cfg = fast_runner_setup()
         with pytest.raises(ValueError):
-            ev.partial_omics_run(ds, [(1,)], model_cfg, train_cfg, [0.0], [1])
+            ev.partial_omics_trials(ds, [(1,)], train_cfg.weights, [0.0], [1])
 
     def test_surface_validates_fixed_and_varying(self):
-        ds, model_cfg, train_cfg = fast_runner_setup()
-        with pytest.raises(ValueError):
-            ev.hyperparam_surface(ds, model_cfg, train_cfg,
-                                  {"lambda_al": 0.1, "lambda_co": 0.1},
-                                  {"lambda_cl": [0.0]}, 0.2, [1])
+        with pytest.raises(ValueError, match="got lambda_al, lambda_cl$"):
+            ev.surface_trials(md.LossWeights(), ("lambda_al", 0.1), [("lambda_cl", [0.0])],
+                              0.2, [1])
+
+    def test_surface_names_a_weight_varied_twice(self):
+        with pytest.raises(ValueError, match="got lambda_al, lambda_co, lambda_co$"):
+            ev.surface_trials(md.LossWeights(), ("lambda_al", 0.1),
+                              [("lambda_co", [0.1]), ("lambda_co", [0.2])], 0.2, [1])
+
+    @pytest.mark.parametrize("values, offending", [([0.1, 0.1], "0.1"), ([0.0, -0.0], "-0.0")])
+    def test_surface_value_repeated_in_a_grid_rejected(self, values, offending):
+        with pytest.raises(ValueError, match=f"lambda_cl value {offending} is listed twice"):
+            ev.surface_trials(md.LossWeights(), ("lambda_al", 0.1),
+                              [("lambda_co", [0.1]), ("lambda_cl", values)], 0.2, [1])
+
+    def test_surface_checks_a_value_beside_an_empty_grid(self):
+        with pytest.raises(ValueError, match="lambda_cl must be >= 0, got -1"):
+            ev.surface_trials(md.LossWeights(), ("lambda_al", 0.1),
+                              [("lambda_co", []), ("lambda_cl", [-1.0])], 0.2, [1])
 
     def test_surface_cells(self):
         ds, model_cfg, train_cfg = fast_runner_setup()
-        rows = ev.hyperparam_surface(ds, model_cfg, train_cfg, {"lambda_al": 0.1},
-                                     {"lambda_co": [0.01, 0.1], "lambda_cl": [0.01, 0.1]},
-                                     0.2, [1]).rows
+        rows = ev.run_trials(ds, model_cfg, train_cfg, ev.surface_trials(
+            train_cfg.weights, ("lambda_al", 0.1),
+            [("lambda_co", [0.01, 0.1]), ("lambda_cl", [0.01, 0.1])], 0.2, [1])).rows
         assert len(rows) == 4
         assert all(r.weights.lambda_al == 0.1 for r in rows)
 
@@ -299,7 +316,8 @@ class TestRunners:
         cfg = md.ModelConfig(3, (10, 10, 10), (8, 8, 8), 2, ae_hidden=(8, 4), dropout_p=0.1)
         tcfg = tr.TrainConfig(epochs=120, initial_lr=2e-3, lr_schedule="constant",
                               weights=md.LossWeights(0.01, 0.1, 0.01, 9.0))
-        sweep = ev.missing_rate_sweep(ds, cfg, tcfg, [0.0, 0.8], [0, 1, 2, 3, 4])
+        sweep = ev.run_trials(ds, cfg, tcfg,
+                              ev.sweep_trials(tcfg.weights, [0.0, 0.8], [0, 1, 2, 3, 4]))
         assert sweep.points[0].mean["acc"] >= sweep.points[1].mean["acc"]
 
     def test_subsets_with_the_informative_view_win(self):
@@ -317,75 +335,82 @@ class TestRunners:
         cfg = md.ModelConfig(3, (10, 10, 10), (8, 8, 8), 2, ae_hidden=(8, 4), dropout_p=0.1)
         tcfg = tr.TrainConfig(epochs=120, initial_lr=2e-3, lr_schedule="constant",
                               weights=md.LossWeights(0.01, 0.1, 0.01, 9.0))
-        res = ev.partial_omics_run(ds, [(0, 1), (0, 2), (1, 2)], cfg, tcfg,
-                                   [0.0], [0, 1])
+        res = ev.run_trials(ds, cfg, tcfg, ev.partial_omics_trials(
+            ds, [(0, 1), (0, 2), (1, 2)], tcfg.weights, [0.0], [0, 1]))
         acc = {p.variant: p.mean["acc"] for p in res.points}
         assert min(acc["view0+view1"], acc["view0+view2"]) > acc["view1+view2"] + 0.1
 
     def test_ablation_run_variants(self):
         ds, model_cfg, train_cfg = fast_runner_setup()
         spec = ev.AblationSpec(variants=("plain", "ctst+aux"), etas=(0.2,), seeds=(1,))
-        result = ev.ablation_run(ds, spec, model_cfg, train_cfg)
+        result = ev.run_trials(ds, model_cfg, train_cfg,
+                               ev.ablation_trials(spec, train_cfg.weights))
         assert {p.variant for p in result.points} == {"plain", "ctst+aux"}
 
 
 
 class TestValuesCheckedBeforeTraining:
-    @pytest.mark.parametrize("runner, offending", [
-        (lambda ds, m, t: ev.missing_rate_sweep(ds, m, t, [0.0, 0.2, 1.5], [0, 1]), "1.5"),
+    @pytest.mark.parametrize("build, offending", [
+        (lambda ds, w: ev.sweep_trials(w, [0.0, 0.2, 1.5], [0, 1]), "1.5"),
         # a negative rate masks nothing, so it once trained unchecked
-        (lambda ds, m, t: ev.missing_rate_sweep(ds, m, t, [-0.2, 0.2], [0]), "-0.2"),
-        (lambda ds, m, t: ev.ablation_run(ds, ev.AblationSpec(etas=(0.2, 1.5), seeds=(0,)),
-                                          m, t), "1.5"),
-        (lambda ds, m, t: ev.hyperparam_surface(ds, m, t, {"lambda_al": 0.1},
-                                                {"lambda_co": [0.1], "lambda_cl": [0.1, -0.5]},
-                                                0.2, [0]), "-0.5"),
-        (lambda ds, m, t: ev.hyperparam_surface(ds, m, t, {"lambda_al": 0.1},
-                                                {"lambda_co": [0.1], "lambda_cl": [0.1]},
-                                                -0.1, [0]), "-0.1"),
-        (lambda ds, m, t: ev.partial_omics_run(ds, [(0, 1), (2,)], m, t, [0.0], [0]),
-         "(2,)"),
+        (lambda ds, w: ev.sweep_trials(w, [-0.2, 0.2], [0]), "-0.2"),
+        (lambda ds, w: ev.ablation_trials(ev.AblationSpec(etas=(0.2, 1.5), seeds=(0,)), w),
+         "1.5"),
+        (lambda ds, w: ev.surface_trials(w, ("lambda_al", 0.1),
+                                         [("lambda_co", [0.1]), ("lambda_cl", [0.1, -0.5])],
+                                         0.2, [0]), "-0.5"),
+        (lambda ds, w: ev.surface_trials(w, ("lambda_al", 0.1),
+                                         [("lambda_co", [0.1]), ("lambda_cl", [0.1])],
+                                         -0.1, [0]), "-0.1"),
+        (lambda ds, w: ev.partial_omics_trials(ds, [(0, 1), (2,)], w, [0.0], [0]), "(2,)"),
     ], ids=["sweep_eta", "sweep_negative_eta", "ablation_eta", "surface_weight",
             "surface_eta", "partial_singleton"])
-    def test_bad_last_value_raises_before_any_training(self, monkeypatch, runner, offending):
-        ds, model_cfg, train_cfg = fast_runner_setup()
-        monkeypatch.setattr(tr, "train", raising_stub("train"))
+    def test_bad_last_value_raises_before_any_training(self, build, offending):
+        ds, _, train_cfg = fast_runner_setup()
         with pytest.raises(ValueError) as info:
-            runner(ds, model_cfg, train_cfg)
+            build(ds, train_cfg.weights)
         assert offending in str(info.value)
 
 
 class TestTrialListsCheckedBeforeTraining:
-    @pytest.mark.parametrize("runner, offending", [
-        (lambda ds, m, t: ev.ablation_run(
-            ds, ev.AblationSpec(variants=("plain", "plain"), etas=(0.2,), seeds=(0,)), m, t),
+    @pytest.mark.parametrize("build, offending", [
+        (lambda ds, w: ev.ablation_trials(
+            ev.AblationSpec(variants=("plain", "plain"), etas=(0.2,), seeds=(0,)), w),
          "'plain' at eta 0.2, seed 0 is listed twice"),
-        (lambda ds, m, t: ev.partial_omics_run(ds, [(0, 1), (0, 1)], m, t, [0.0], [0]),
+        (lambda ds, w: ev.partial_omics_trials(ds, [(0, 1), (0, 1)], w, [0.0], [0]),
          "'view0+view1' at eta 0.0, seed 0 is listed twice"),
-        (lambda ds, m, t: ev.missing_rate_sweep(ds, m, t, [0.2], [0, 1, 0]),
+        (lambda ds, w: ev.sweep_trials(w, [0.2], [0, 1, 0]),
          "at eta 0.2, seed 0 is listed twice"),
-        (lambda ds, m, t: ev.partial_omics_run(ds, [(0, 0, 1)], m, t, [0.0], [0]),
+        (lambda ds, w: ev.partial_omics_trials(ds, [(0, 0, 1)], w, [0.0], [0]),
          "view subset (0, 0, 1) names view 0 twice"),
-        (lambda ds, m, t: ev.partial_omics_run(ds, [(0, 1), (0, 5)], m, t, [0.0], [0]),
+        (lambda ds, w: ev.partial_omics_trials(ds, [(0, 1), (0, 5)], w, [0.0], [0]),
          "view subset (0, 5) names view 5, outside [0, 3)"),
-        (lambda ds, m, t: ev.partial_omics_run(ds, [(-1, 1)], m, t, [0.0], [0]),
+        (lambda ds, w: ev.partial_omics_trials(ds, [(-1, 1)], w, [0.0], [0]),
          "view subset (-1, 1) names view -1, outside [0, 3)"),
     ], ids=["ablation_variant_twice", "partial_subset_twice", "sweep_seed_twice",
             "partial_view_twice", "partial_view_out_of_range", "partial_negative_view"])
-    def test_duplicate_or_out_of_range_trial_raises_before_any_training(
-            self, monkeypatch, runner, offending):
+    def test_duplicate_or_out_of_range_trial_raises_before_any_training(self, build,
+                                                                        offending):
+        ds, _, train_cfg = fast_runner_setup()
+        with pytest.raises(ValueError) as info:
+            build(ds, train_cfg.weights)
+        assert offending in str(info.value)
+
+    def test_run_trials_rejects_a_repeat_before_any_training(self, monkeypatch):
+        """A list put together by hand gets the builders' repeated-trial check."""
         ds, model_cfg, train_cfg = fast_runner_setup()
         monkeypatch.setattr(tr, "train", raising_stub("train"))
-        with pytest.raises(ValueError) as info:
-            runner(ds, model_cfg, train_cfg)
-        assert offending in str(info.value)
+        trials = ev.sweep_trials(train_cfg.weights, [0.2], [0, 1])
+        with pytest.raises(ValueError, match="'clclsa' at eta 0.2, seed 1 is listed twice"):
+            ev.run_trials(ds, model_cfg, train_cfg, trials + trials[1:])
 
 
 class TestAbortedTrials:
     def test_failed_row_and_point(self, monkeypatch):
         ds, model_cfg, train_cfg = fast_runner_setup()
         monkeypatch.setattr(tr, "train", aborting_train(lambda _, cfg: cfg.seed == 2))
-        sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.0], [1, 2, 3])
+        sweep = ev.run_trials(ds, model_cfg, train_cfg,
+                              ev.sweep_trials(train_cfg.weights, [0.0], [1, 2, 3]))
         assert [r.status for r in sweep.rows] == ["ok", "failed", "ok"]
         assert sweep.rows[1].report is None
         assert sweep.rows[1].detail == "training aborted at epoch 3: term 'l_cl' is non-finite"
@@ -397,7 +422,8 @@ class TestAbortedTrials:
         ds, model_cfg, train_cfg = fast_runner_setup()
         # only the eta 0.3 trials train on incomplete data
         monkeypatch.setattr(tr, "train", aborting_train(lambda d, _: not d.is_complete()))
-        sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.0, 0.3], [1, 2])
+        sweep = ev.run_trials(ds, model_cfg, train_cfg,
+                              ev.sweep_trials(train_cfg.weights, [0.0, 0.3], [1, 2]))
         assert [p.failures for p in sweep.points] == [0, 2]
         assert sweep.points[1].mean == {} and sweep.points[1].reports == []
         path = tmp_path / "sweep.csv"
@@ -440,7 +466,8 @@ class TestEmitReport:
 
     def test_row_counts_with_aggregates(self, tmp_path):
         ds, model_cfg, train_cfg = fast_runner_setup()
-        sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.0, 0.3], [1, 2, 3])
+        sweep = ev.run_trials(ds, model_cfg, train_cfg,
+                              ev.sweep_trials(train_cfg.weights, [0.0, 0.3], [1, 2, 3]))
         path = tmp_path / "sweep.csv"
         ev.emit_report(sweep.rows, path, fmt="csv")
         parsed = ev.parse_report_csv(path)
@@ -453,7 +480,8 @@ class TestEmitReport:
         import json
 
         ds, model_cfg, train_cfg = fast_runner_setup()
-        sweep = ev.missing_rate_sweep(ds, model_cfg, train_cfg, [0.0], [1])
+        sweep = ev.run_trials(ds, model_cfg, train_cfg,
+                              ev.sweep_trials(train_cfg.weights, [0.0], [1]))
         path = tmp_path / "sweep.json"
         ev.emit_report(sweep.rows, path, fmt="json")
         doc = json.loads(path.read_text())

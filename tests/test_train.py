@@ -92,6 +92,28 @@ class TestLrSchedule:
             tr.TrainConfig(**{name: value})
 
 
+class TestIntegerSettings:
+    @pytest.mark.parametrize("name", ["epochs", "lr_decay_every", "eval_every", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, float("nan"), True, "4"])
+    def test_non_integer_rejected_not_truncated(self, name, value):
+        # 2.5 once reached range() and died there; eval_every=1.5 logged every third epoch
+        with pytest.raises(ValueError, match=f"{name} takes integers only, got {value!r}"):
+            tr.TrainConfig(**{name: value})
+
+    def test_numpy_integers_become_ints(self):
+        cfg = tr.TrainConfig(epochs=np.int64(3), batch_size=np.int32(8))
+        assert (type(cfg.epochs), type(cfg.batch_size)) == (int, int)
+        assert cfg.batch_size == 8
+
+    def test_full_batch_stays_none(self):
+        assert tr.TrainConfig().batch_size is None
+
+    def test_negative_eval_every_rejected(self):
+        # -1 once passed and logged train_acc on every epoch
+        with pytest.raises(ValueError, match="eval_every must be >= 0, got -1"):
+            tr.TrainConfig(eval_every=-1)
+
+
 class TestTrain:
     def test_zero_weights_reduce_to_classification(self):
         ds = tiny_dataset()
@@ -343,6 +365,11 @@ class TestGridSearch:
     def test_non_finite_candidate_rejected(self):
         with pytest.raises(ValueError, match="lambda_al must be finite, got nan"):
             tr.GridSpec(lambda_al_values=(float("nan"),))
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_val_fraction_outside_open_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=rf"val_fraction must be in \(0, 1\), got {fraction}"):
+            tr.GridSpec(val_fraction=fraction)
 
     def test_tie_rule_picks_smallest_triple(self):
         trials = [

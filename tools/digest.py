@@ -9,10 +9,11 @@ re-run contract holds at), in a fresh temporary directory. The sequence: a
 synthetic dataset and its masked copy; full-batch training with all four
 loss terms; mini-batch training with `sum` reduction, a trailing one-row
 batch to merge and `eval_every`; training with zero completion on scaled
-data; `eval --out`; and small `sweep`, `grid`, `ablate` (JSON report) and
-`surface` runs. Before hashing, each run manifest loses `duration_seconds`
-and `environment.git_revision`, and the temporary directory's path is
-replaced in every file. Needs only the standard library and numpy.
+data; `eval --out`; and small `sweep` (one more with `--complete-test` and
+a JSON report), `grid`, `ablate` (JSON report; one more with
+`--lambda-co-fixed` and a CSV report) and `surface` runs. Before hashing,
+each run manifest loses `duration_seconds` and `environment.git_revision`,
+and the temporary directory's path is replaced in every file. Needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -56,12 +57,16 @@ SEQUENCE = [
               "--data", "{root}/masked"]),
     ("sweep", ["sweep", "--data", "{root}/data", "--seed", "12", "--etas", "0,0.4",
                "--seeds", "1,2", *RUNNER]),
+    ("sweep_complete", ["sweep", "--data", "{root}/data", "--seed", "12", "--etas", "0.4",
+                        "--seeds", "3", "--complete-test", "--format", "json", *RUNNER]),
     ("grid", ["grid", "--data", "{root}/masked", "--seed", "13", "--epochs", "6", *TERMS,
               *MODEL, "--set", "grid.lambda_al_values=[0,0.01]",
               "--set", "grid.lambda_co_values=[0.1]",
               "--set", "grid.lambda_cl_values=[0,0.01]"]),
     ("ablate", ["ablate", "--data", "{root}/data", "--seed", "14", "--etas", "0.2,0.4",
                 "--seeds", "1", "--format", "json", *RUNNER]),
+    ("ablate_co", ["ablate", "--data", "{root}/data", "--seed", "14", "--etas", "0.4",
+                   "--seeds", "2", "--lambda-co-fixed", "0.05", *RUNNER]),
     ("surface", ["surface", "--data", "{root}/data", "--seed", "15",
                  "--fix", "lambda_al=0.01", "--vary", "lambda_co=0,0.1",
                  "--vary", "lambda_cl=0,0.01", "--eta", "0.4", "--seeds", "1", *RUNNER]),
