@@ -41,6 +41,7 @@ from . import __version__
 from . import data as dt
 from . import evaluation as ev
 from . import model as md
+from . import numerics as nm
 from . import train as tr
 
 
@@ -145,13 +146,6 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count()
-
-
 # the checkout this package runs from, when it runs from one (<root>/src/clclsa)
 SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -194,7 +188,7 @@ def _environment():
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
         "platform": platform.platform(),
-        "usable_cpus": _usable_cpus(),
+        "usable_cpus": nm._usable_cpus(),
         "git_revision": _git_revision(SOURCE_ROOT),
     }
 
@@ -390,7 +384,7 @@ def _cmd_run(args, config):
     """sweep, ablate and surface: the command's trial list, checked by its
     `evaluation` builder before any training, run and written as a report."""
     ds, model_config, train_config, resolved = _setup(args, config)
-    seeds = args.seeds or [args.seed]
+    seeds = [args.seed] if args.seeds is None else args.seeds
     try:
         trials, resolved[args.command] = args.trials(args, train_config.weights, seeds)
     except ValueError as exc:

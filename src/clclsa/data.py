@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -430,6 +431,9 @@ class SyntheticSpec:
             raise ValueError("view_dims needs one positive entry per view")
         if not self.snr > 0:  # also NaN
             raise ValueError(f"snr must be positive, got {self.snr}")
+        sep = self.class_sep
+        if isinstance(sep, bool) or not isinstance(sep, numbers.Real) or not 0 <= sep < np.inf:
+            raise ValueError(f"class_sep must be a finite real >= 0, got {sep!r}")
 
 
 def _view_windows(shared_dim: int, n_views: int):

@@ -279,8 +279,10 @@ def _points(rows) -> list:
 
 
 def _checked(etas, seeds) -> list:
-    """The etas, sorted and each a valid missing rate, given nonempty seeds."""
+    """The etas, nonempty, sorted and each a valid missing rate, given nonempty seeds."""
     etas = list(etas)
+    if not etas:
+        raise ValueError("etas must be nonempty")
     if sorted(etas) != etas:
         raise ValueError("etas must be sorted ascending")
     if not seeds:
@@ -343,6 +345,8 @@ def partial_omics_trials(ds: MultiOmicsDataset, view_subsets, weights: LossWeigh
                 raise ValueError(f"view subset {subset} names view {i} twice")
         name = "+".join(ds.view_names[i] for i in subset)
         trials += [(name, eta, seed, weights, subset) for eta in etas for seed in seeds]
+    if not trials:
+        raise ValueError("view_subsets must be nonempty")
     return _distinct(trials)
 
 
@@ -367,6 +371,9 @@ def surface_trials(weights: LossWeights, fix, vary, eta: float, seeds) -> list:
             LossWeights(**{name: value})
             if value in values[:i]:  # 0.0 and -0.0 name two cells of one weight set
                 raise ValueError(f"{name} value {value} is listed twice")
+    for name, values in vary:
+        if not values:
+            raise ValueError(f"the {name} grid must be nonempty")
     _checked([eta], seeds)
     (name_a, values_a), (name_b, values_b) = sorted(vary)
     trials = []

@@ -125,8 +125,8 @@ class ModelConfig:
             raise ValueError("completion must be 'cross' or 'zero'")
         if not 0.0 <= self.bn_momentum <= 1.0:
             raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
-        if not self.bn_eps > 0.0:
-            raise ValueError(f"bn_eps must be > 0, got {self.bn_eps}")
+        if not 0.0 < self.bn_eps < math.inf:  # an infinite eps makes every output relu(beta)
+            raise ValueError(f"bn_eps must be > 0 and finite, got {self.bn_eps}")
 
     @property
     def fused_dim(self) -> int:
@@ -581,8 +581,10 @@ def complete_missing(zhats, mask, params: CLCLSAParams):
     observed_counts = _observed_counts(mask)
     full = [scatter_rows(z, np.flatnonzero(mask[:, i]), n) for i, z in enumerate(zhats)]
     out = list(full)
-    for i, miss_rows in _completion_targets(mask, params.config):
-        out[i] = _complete_view(full, i, miss_rows, mask, observed_counts, params)
+    targets = _completion_targets(mask, params.config)
+    for (i, _), z in zip(targets, nm._fan_out(
+            lambda target: _complete_view(full, *target, mask, observed_counts, params), targets)):
+        out[i] = z
     return out, ~mask
 
 
@@ -638,13 +640,11 @@ def forward_full(views, mask, params: CLCLSAParams, mode: str, rngs=None) -> For
     """Run every view, complete missing latents, fuse, and classify."""
     nm._check_mode(mode)
     views, mask = _check_inputs(views, mask, params.config)
-    per_view = []
-    obs_indices = []
-    for i, x in enumerate(views):
-        obs = np.flatnonzero(mask[:, i])
-        obs_indices.append(obs)
-        rng = rngs[i] if rngs is not None else None
-        per_view.append(forward_view(constant(x[obs]), params, i, mode, rng))
+    obs_indices = [np.flatnonzero(mask[:, i]) for i in range(len(views))]
+    per_view = nm._fan_out(
+        lambda i: forward_view(constant(views[i][obs_indices[i]]), params, i, mode,
+                               rngs[i] if rngs is not None else None),
+        range(len(views)))
     zhat_full, provenance = complete_missing([vf.zhat for vf in per_view], mask, params)
     fused = concat_cols(zhat_full)
     yhat = softmax_rows(affine(fused, params["classifier.W"], params["classifier.b"]))
@@ -786,14 +786,18 @@ def loss_cross_omics(zhats, mask, params: CLCLSAParams, mode: str = "eval",
     written; "mean" divides each pair's term by its subject count. Pairs with
     fewer than two jointly observed subjects are skipped (train-mode batch
     norm needs two rows). Train mode updates the running statistics in
-    `bn_stats` (default `params.bn_states`). Each pair's term is one node.
-    """
+    `bn_stats` (default `params.bn_states`). Each pair's term is one node, and a
+    source view's pairs are one branch, so its encoder statistics update in order."""
     nm._check_mode(mode)
     mask = np.asarray(mask, dtype=bool)
     zhats = [as_tensor(z) for z in zhats]
     stats = params.bn_states if bn_stats is None else bn_stats
-    return _sum_terms(_cross_omics_term(zhats, i, k, joint, params, mode, reduction, stats)
-                      for i, k, joint in _joint_pairs(mask, ordered=True))
+    pairs = list(_joint_pairs(mask, ordered=True))
+    sources = sorted({k for _, k, _ in pairs})
+    made = dict(zip(sources, map(iter, nm._fan_out(lambda source: [
+        _cross_omics_term(zhats, i, k, joint, params, mode, reduction, stats)
+        for i, k, joint in pairs if k == source], sources))))
+    return _sum_terms(next(made[k]) for _, k, _ in pairs)
 
 
 def joint_distribution(z_i, z_k, rows=None) -> Tensor:
@@ -883,9 +887,10 @@ def loss_contrastive(zhats, mask, alpha: float) -> Tensor:
     """
     mask = np.asarray(mask, dtype=bool)
     zhats = [as_tensor(z) for z in zhats]
-    return _sum_terms(
-        scale(loss_contrastive_pair(joint_distribution(zhats[i], zhats[k], joint), alpha), 2.0)
-        for i, k, joint in _joint_pairs(mask, ordered=False))
+    return _sum_terms(nm._fan_out(
+        lambda pair: scale(loss_contrastive_pair(
+            joint_distribution(zhats[pair[0]], zhats[pair[1]], pair[2]), alpha), 2.0),
+        list(_joint_pairs(mask, ordered=False))))
 
 
 def total_loss(l_clf, l_al, l_co, l_cl, weights: LossWeights):
@@ -939,14 +944,15 @@ def build_objective(views, mask, labels, params: CLCLSAParams, weights: LossWeig
         stats = {name: st.copy() for name, st in stats.items()}
     cache = forward_full(views, mask, params, mode, rngs)
     l_clf = loss_classification(cache.yhat, labels, reduction)
-    l_al = l_co = l_cl = None
+    l_al = None
     if weights.lambda_al > 0:
         l_al = loss_auxiliary(cache.matt, cache.yhat_view, cache.obs_idx, labels,
                               reduction, conf_targets)
-    if weights.lambda_co > 0:
-        l_co = loss_cross_omics(cache.zhat_full, mask, params, mode, reduction, stats)
-    if weights.lambda_cl > 0:
-        l_cl = loss_contrastive(cache.zhat_full, mask, weights.alpha)
+    l_co, l_cl = nm._fan_out(lambda build: build(), (
+        lambda: loss_cross_omics(cache.zhat_full, mask, params, mode, reduction, stats)
+        if weights.lambda_co > 0 else None,
+        lambda: loss_contrastive(cache.zhat_full, mask, weights.alpha)
+        if weights.lambda_cl > 0 else None))
     total, breakdown = total_loss(l_clf, l_al, l_co, l_cl, weights)
     cache.bn_states = stats
     return total, breakdown, cache

@@ -23,8 +23,12 @@ replayed independently of call order elsewhere.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import numbers
+import os
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -240,7 +244,9 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
     those of `custom_op` nodes call it."""
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if _branch.log is not None:  # a hook run by `_backward_branches`: added later, in order
+        _branch.log.append((t, None, g))
+    elif t.grad is None:
         # a fresh array; adding +0.0 turns -0.0 into +0.0, as a zero start would
         t.grad = g + 0.0
     else:
@@ -249,7 +255,9 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
 
 def accumulate_rows(t: Tensor, rows, g: np.ndarray) -> None:
     """Add g into rows `rows` (distinct) of a tensor's gradient, as `gather_rows` does."""
-    if t.requires_grad:
+    if t.requires_grad and _branch.log is not None:  # see `accumulate_grad`
+        _branch.log.append((t, rows, g))
+    elif t.requires_grad:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         t.grad[rows] += g
@@ -681,6 +689,126 @@ def multi_output_op(datas, parents, backward_fn) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Branch threads
+
+BRANCH_MIN_ELEMENTS = 1 << 15  # a step this wide gains more from threads than they cost
+
+
+class _BranchState(threading.local):
+    pool = None    # this thread's branch pool while `_branch_pool` runs
+    threads = 1    # the pool's threads and this one: the CPUs the process may use
+    log = None     # [(tensor, rows or None, g)] of the backward hook this thread runs
+
+
+_branch = _BranchState()
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # none on some platforms
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _one_malloc_arena() -> None:
+    """Cap glibc's malloc at one arena (process-wide; nothing narrower exists):
+    with an arena per pool thread, serial work after a threaded fit ran slower."""
+    if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", ()) and \
+            (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+        import ctypes
+        ctypes.CDLL(None).mallopt(ctypes.c_int(-8), ctypes.c_int(1))  # M_ARENA_MAX
+
+
+@contextlib.contextmanager
+def _branch_pool(elements: int):
+    """A branch pool for this thread while the block runs, if it has none, two CPUs
+    or more are usable and a branch array holds `BRANCH_MIN_ELEMENTS`; joined after."""
+    threads = _usable_cpus()
+    if _branch.pool is not None or elements < BRANCH_MIN_ELEMENTS or threads < 2:
+        yield
+        return
+    _one_malloc_arena()
+    _branch.pool = pool = ThreadPoolExecutor(threads - 1, "clclsa-branch")  # and this one
+    _branch.threads = threads
+    try:
+        yield
+    finally:
+        _branch.pool, _branch.threads = None, 1
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _fan_out(fn, items) -> list:
+    """[fn(item) for item in items] (a sequence); with a branch pool, this thread runs
+    the first and any not started. Raises the first item's error once none runs."""
+    if _branch.pool is None or len(items) < 2:
+        return [fn(item) for item in items]
+    jobs = [None] + [_branch.pool.submit(fn, item) for item in items[1:]]
+    for k, job in enumerate(jobs):
+        if job is None or job.cancel():  # not started: run it here
+            jobs[k] = here = Future()
+            try:
+                here.set_result(fn(items[k]))
+            except BaseException as exc:
+                here.set_exception(exc)
+    wait(jobs)
+    return [job.result() for job in jobs]
+
+
+def _backward_branches(rev) -> None:
+    """`backward`'s loop over `rev` here and on the pool: once all nodes adding into a
+    tensor ran, their logged additions go in in serial order, and its hook may run."""
+    at = {id(node): i for i, node in enumerate(rev)}
+    feeds = {}  # id(tensor) -> positions of the nodes adding into it, in order
+    for i, node in enumerate(rev):
+        for key in dict.fromkeys(map(id, node._parents)):
+            feeds.setdefault(key, []).append(i)
+    waiting = {key: len(fed) for key, fed in feeds.items()}
+    logs, ready, running, failure = [None] * len(rev), [0], 0, (len(rev), None)
+    turn = threading.Condition()
+
+    def work():
+        nonlocal running, failure
+        with turn:
+            while ready or running:
+                if not ready:
+                    turn.wait()
+                    continue
+                i = min(ready)
+                ready.remove(i)
+                running += 1
+                turn.release()
+                node, error, logs[i] = rev[i], None, {key: [] for key in map(id, rev[i]._parents)}
+                _branch.log = log = []
+                try:
+                    if node._backward is not None and node.grad is not None:
+                        node._backward(node)
+                    for entry in log:  # by tensor, each list dropped once added
+                        logs[i][id(entry[0])].append(entry)
+                except BaseException as exc:
+                    error = exc
+                _branch.log = None
+                turn.acquire()
+                running -= 1
+                try:
+                    for key in list(logs[i]) if error is None else ():
+                        waiting[key] -= 1
+                        if not waiting[key]:
+                            for t, rows, g in (e for j in feeds[key] for e in logs[j].pop(key)):
+                                accumulate_grad(t, g) if rows is None else \
+                                    accumulate_rows(t, rows, g)
+                            if key in at:  # a node, not a leaf
+                                ready.append(at[key])
+                except BaseException as exc:
+                    error = exc
+                if error is not None and i < failure[0]:
+                    failure = (i, error)
+                ready[:] = [j for j in ready if j < failure[0]]
+                turn.notify_all()
+
+    _fan_out(lambda _: work(), range(_branch.threads))
+    if failure[1] is not None:
+        raise failure[1]
+
+
+# ---------------------------------------------------------------------------
 # Backward pass
 
 
@@ -712,6 +840,8 @@ def backward(loss: Tensor) -> None:
         return
     order = _topo_order(loss)
     loss.grad = np.ones((1, 1))
+    if _branch.pool is not None:
+        return _backward_branches(order[::-1])
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node)
@@ -784,7 +914,7 @@ class AdamState:
         self.t = 0
         self.m = {}
         self.v = {}
-        self._flat = None   # (m, v, scratch, scratch) once the first step has sized them
+        self._flat = None   # (m, v, scratch pairs) once the first step has sized them
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
@@ -793,7 +923,8 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
 
     Parameters and gradients must each fill one buffer (see `pack` and
     `gradients`). The update runs `ADAM_CHUNK` elements at a time in
-    preallocated scratch, in the order of m = b1 m + (1 - b1) g,
+    preallocated scratch (runs of chunks side by side on a branch pool), in
+    the order of m = b1 m + (1 - b1) g,
     v = b2 v + (1 - b2) g^2, p -= lr (m / c1) / (sqrt(v / c2) + eps).
     """
     if lr <= 0:
@@ -809,33 +940,39 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         shapes = [t.data.shape for t in params.values()]
         state.m = dict(zip(params, _views(m, shapes)))
         state.v = dict(zip(params, _views(v, shapes)))
-        chunk = min(ADAM_CHUNK, p.size)
-        state._flat = (m, v, np.empty(chunk), np.empty(chunk))
-    m, v, s1, s2 = state._flat
+        state._flat = (m, v, np.empty((_branch.threads, 2, min(ADAM_CHUNK, p.size))))
+    m, v, scratch = state._flat
     if m.size != p.size:
         raise ShapeError(f"adam_step: {p.size} parameters for a state sized for {m.size}")
+    starts = range(0, p.size, ADAM_CHUNK)
+    parts = min(_branch.threads, len(starts), len(scratch))
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for lo in range(0, p.size, ADAM_CHUNK):
-        hi = min(lo + ADAM_CHUNK, p.size)
-        gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]
-        a, b = s1[:hi - lo], s2[:hi - lo]
-        mc *= b1
-        np.multiply(gc, 1.0 - b1, out=a)
-        mc += a
-        vc *= b2
-        np.multiply(gc, gc, out=a)
-        a *= 1.0 - b2
-        vc += a
-        np.divide(vc, c2, out=a)
-        np.sqrt(a, out=a)
-        a += state.eps
-        np.divide(mc, c1, out=b)
-        b *= lr
-        b /= a
-        p[lo:hi] -= b
+
+    def update(part):
+        s1, s2 = scratch[part]
+        for lo in starts[part * len(starts) // parts:(part + 1) * len(starts) // parts]:
+            hi = min(lo + ADAM_CHUNK, p.size)
+            gc, mc, vc = g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = s1[:hi - lo], s2[:hi - lo]
+            mc *= b1
+            np.multiply(gc, 1.0 - b1, out=a)
+            mc += a
+            vc *= b2
+            np.multiply(gc, gc, out=a)
+            a *= 1.0 - b2
+            vc += a
+            np.divide(vc, c2, out=a)
+            np.sqrt(a, out=a)
+            a += state.eps
+            np.divide(mc, c1, out=b)
+            b *= lr
+            b /= a
+            p[lo:hi] -= b
+
+    _fan_out(update, range(parts))
 
 
 def init_params(shape, rng: RngStream) -> np.ndarray:

@@ -3,8 +3,8 @@
 One epoch is: forward all observed views, complete missing latents, assemble
 the weighted objective, one Adam step. Full-batch is the default (the
 reference recipe trains on the whole set each step); mini-batching is
-available. Runs are bitwise reproducible for a fixed seed in single-thread
-mode.
+available. Runs are bitwise reproducible for a fixed seed at one BLAS
+thread, also when a wide fit runs its steps' branches on threads.
 """
 
 from __future__ import annotations
@@ -107,8 +107,7 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
 
     Aborts with TrainingAborted (carrying the pre-step parameters and
     batch-norm statistics, and the logs so far) the first time a loss term or
-    gradient is non-finite.
-    """
+    gradient is non-finite. Wide fits run on threads (`numerics._branch_pool`)."""
     if ds.n_subjects == 0:
         raise ValueError("training set is empty")
     if ds.n_views != model_config.num_views:
@@ -127,46 +126,48 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
     batch_rng = RngStream(train_config.seed, "batches")
     logs = []
     n = ds.n_subjects
-    for epoch in range(train_config.epochs):
-        lr = lr_at(epoch, train_config)
-        if train_config.batch_size is None or train_config.batch_size >= n:
-            batches = [slice(None)]  # the whole set, without copying it
-        else:
-            order = batch_rng.permutation(n)
-            b = train_config.batch_size
-            batches = [np.sort(order[s:s + b]) for s in range(0, n, b)]
-            # a trailing 1-row batch cannot be batch-normalized; merge it
-            if len(batches) > 1 and batches[-1].size < 2:
-                batches[-2] = np.sort(np.concatenate(batches[-2:]))
-                batches.pop()
-        batch_logs = []
-        for batch in batches:
-            views_b = [v[batch] for v in ds.views]
-            mask_b = ds.mask[batch]
-            labels_b = ds.labels[batch]
-            try:
-                total, breakdown, cache = md.build_objective(
-                    views_b, mask_b, labels_b, params, weights,
-                    mode="train", rngs=rngs, reduction=train_config.reduction)
-            except md.NumericError as exc:
-                raise TrainingAborted(exc.term, epoch, params, logs) from exc
-            grads = gradients(total, tensors)
-            # the gradients fill one buffer, so one check covers them all
-            if not np.isfinite(nm.flat_view(list(grads.values()))).all():
-                raise TrainingAborted("gradient", epoch, params, logs)
-            adam_step(tensors, grads, adam, lr)
-            # the step's batch-norm updates land only once its loss and gradients are finite
-            params.bn_states.update(cache.bn_states)
-            batch_logs.append(astuple(breakdown) + tuple(md.latent_variances(cache)))
-        # a mini-batch epoch logs the mean over its batches; one batch logs as is
-        logged = batch_logs[0] if len(batch_logs) == 1 else np.mean(batch_logs, axis=0)
-        logged = [float(v) for v in logged]
-        entry = EpochLog(epoch=epoch, breakdown=LossBreakdown(*logged[:5]), lr=lr,
-                         latent_variance=logged[5:])
-        if train_config.eval_every and (epoch + 1) % train_config.eval_every == 0:
-            _, pred = md.predict(ds.views, ds.mask, params)
-            entry.train_acc = float((pred == ds.labels).mean())
-        logs.append(entry)
+    rows = n if train_config.batch_size is None else min(train_config.batch_size, n)
+    with nm._branch_pool(rows * max(model_config.input_dims + model_config.embed_dims)):
+        for epoch in range(train_config.epochs):
+            lr = lr_at(epoch, train_config)
+            if train_config.batch_size is None or train_config.batch_size >= n:
+                batches = [slice(None)]  # the whole set, without copying it
+            else:
+                order = batch_rng.permutation(n)
+                b = train_config.batch_size
+                batches = [np.sort(order[s:s + b]) for s in range(0, n, b)]
+                # a trailing 1-row batch cannot be batch-normalized; merge it
+                if len(batches) > 1 and batches[-1].size < 2:
+                    batches[-2] = np.sort(np.concatenate(batches[-2:]))
+                    batches.pop()
+            batch_logs = []
+            for batch in batches:
+                views_b = [v[batch] for v in ds.views]
+                mask_b = ds.mask[batch]
+                labels_b = ds.labels[batch]
+                try:
+                    total, breakdown, cache = md.build_objective(
+                        views_b, mask_b, labels_b, params, weights,
+                        mode="train", rngs=rngs, reduction=train_config.reduction)
+                except md.NumericError as exc:
+                    raise TrainingAborted(exc.term, epoch, params, logs) from exc
+                grads = gradients(total, tensors)
+                # the gradients fill one buffer, so one check covers them all
+                if not np.isfinite(nm.flat_view(list(grads.values()))).all():
+                    raise TrainingAborted("gradient", epoch, params, logs)
+                adam_step(tensors, grads, adam, lr)
+                # the step's batch-norm updates land only once its loss and gradients are finite
+                params.bn_states.update(cache.bn_states)
+                batch_logs.append(astuple(breakdown) + tuple(md.latent_variances(cache)))
+            # a mini-batch epoch logs the mean over its batches; one batch logs as is
+            logged = batch_logs[0] if len(batch_logs) == 1 else np.mean(batch_logs, axis=0)
+            logged = [float(v) for v in logged]
+            entry = EpochLog(epoch=epoch, breakdown=LossBreakdown(*logged[:5]), lr=lr,
+                             latent_variance=logged[5:])
+            if train_config.eval_every and (epoch + 1) % train_config.eval_every == 0:
+                _, pred = md.predict(ds.views, ds.mask, params)
+                entry.train_acc = float((pred == ds.labels).mean())
+            logs.append(entry)
     # the last step's gradients would double the trained model's resident size
     nm.zero_grads(tensors)
     return params, logs

@@ -448,7 +448,8 @@ SURFACE_AXES = ["--fix", "lambda_al=0.1", "--vary", "lambda_co=0.1", "--vary", "
 
 
 class TestBatchNormSettings:
-    @pytest.mark.parametrize("setting", ["model.bn_eps=-1", "model.bn_momentum=5"])
+    @pytest.mark.parametrize("setting", ["model.bn_eps=-1", "model.bn_eps=Infinity",
+                                         "model.bn_momentum=5"])
     def test_rejected_before_training(self, tmp_path, synth_dir, capsys, monkeypatch,
                                       setting):
         monkeypatch.setattr(tr, "train", raising_stub("train"))
@@ -501,10 +502,16 @@ class TestRunValuesRejectedBeforeTraining:
         (["ablate", "--lambda-co-fixed", "nan"], "lambda_co must be finite"),
         (["surface", "--eta", "0.2", "--fix", "lambda_al=nan", *SURFACE_AXES[2:]],
          "lambda_al must be finite"),
+        (["sweep", "--etas", ""], "etas must be nonempty"),
+        (["sweep", "--etas", "0.2", "--seeds", ""], "seeds must be nonempty"),
+        (["ablate", "--etas", ""], "etas must be nonempty"),
+        (["surface", "--eta", "0.2", *SURFACE_AXES[:2], "--vary", "lambda_co=",
+          *SURFACE_AXES[4:]], "the lambda_co grid must be nonempty"),
     ], ids=["sweep_eta", "ablate_eta", "grid_weight", "ablate_weight", "surface_eta",
             "surface_fix_weight", "surface_vary_weight", "surface_fix_name",
             "surface_vary_twice", "train_nan_weight", "train_inf_alpha", "train_nan_lr",
-            "train_nan_decay", "grid_nan_weight", "ablate_nan_weight", "surface_nan_weight"])
+            "train_nan_decay", "grid_nan_weight", "ablate_nan_weight", "surface_nan_weight",
+            "sweep_no_eta", "sweep_no_seed", "ablate_no_eta", "surface_empty_grid"])
     def test_exit_one_before_any_training(self, tmp_path, synth_dir, capsys, monkeypatch,
                                           flags, offending):
         monkeypatch.setattr(tr, "train", raising_stub("train"))
@@ -530,6 +537,15 @@ class TestRunValuesRejectedBeforeTraining:
         out = tmp_path / "out"
         assert run(["synth", "--snr", "nan", "--seed", "1", "--out", str(out)]) == 1
         assert "snr must be positive, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--sep", "inf"], ["--sep", "-3"],
+                                       ["--set", 'synth.class_sep="1.5"']])
+    def test_class_sep_outside_the_finite_non_negative_reals_is_usage_error(
+            self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run(["synth", *flags, "--seed", "1", "--out", str(out)]) == 1
+        assert "class_sep must be a finite real >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fractional_width_is_usage_error_before_training(self, tmp_path, synth_dir,

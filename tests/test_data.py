@@ -446,6 +446,14 @@ class TestSynthGenerate:
         with pytest.raises(ValueError, match=f"snr must be positive, got {snr}"):
             dt.SyntheticSpec(snr=snr)
 
+    @pytest.mark.parametrize("sep", [float("inf"), float("nan"), -3.0, "1.5", True])
+    def test_class_sep_outside_the_finite_non_negative_reals_rejected(self, sep):
+        with pytest.raises(ValueError, match="class_sep must be a finite real >= 0"):
+            dt.SyntheticSpec(class_sep=sep)
+
+    def test_class_sep_of_zero_accepted(self):
+        assert dt.SyntheticSpec(class_sep=0).class_sep == 0
+
     def test_nearest_centroid_oracle_at_extreme_snr(self):
         spec = dt.SyntheticSpec(n_subjects=200, class_count=3, snr=1e6, seed=5)
         ds = dt.synth_generate(spec)

@@ -251,6 +251,29 @@ class TestRunners:
         with pytest.raises(ValueError, match="etas must be sorted ascending"):
             ev.sweep_trials(md.LossWeights(), [0.4, 0.1], [0])
 
+    def test_empty_lists_rejected_by_every_builder(self):
+        """Each would make a trial list that trains nothing."""
+        ds = fast_runner_setup()[0]
+        w = md.LossWeights()
+        axes = ("lambda_al", 0.1), [("lambda_co", [0.1]), ("lambda_cl", [0.1])]
+        cases = [
+            ("etas", lambda: ev.sweep_trials(w, [], [0, 1])),
+            ("seeds", lambda: ev.sweep_trials(w, [0.2], [])),
+            ("etas", lambda: ev.partial_omics_trials(ds, [(0, 1)], w, (), [0])),
+            ("seeds", lambda: ev.partial_omics_trials(ds, [(0, 1)], w, [0.2], [])),
+            ("view_subsets", lambda: ev.partial_omics_trials(ds, [], w, [0.2], [0])),
+            ("etas", lambda: ev.ablation_trials(ev.AblationSpec(etas=()), w)),
+            ("seeds", lambda: ev.ablation_trials(ev.AblationSpec(seeds=()), w)),
+            ("seeds", lambda: ev.surface_trials(w, *axes, 0.2, [])),
+            ("lambda_co grid", lambda: ev.surface_trials(
+                w, axes[0], [("lambda_co", []), ("lambda_cl", [0.1])], 0.2, [0])),
+            ("lambda_cl grid", lambda: ev.surface_trials(
+                w, axes[0], [("lambda_co", [0.1]), ("lambda_cl", [])], 0.2, [0])),
+        ]
+        for name, build in cases:
+            with pytest.raises(ValueError, match=f"{name} must be nonempty"):
+                build()
+
     def test_aggregates_recompute_from_rows(self):
         ds, model_cfg, train_cfg = fast_runner_setup()
         sweep = ev.run_trials(ds, model_cfg, train_cfg,

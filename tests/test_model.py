@@ -227,7 +227,7 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("setting, value", [
         ("bn_momentum", 5.0), ("bn_momentum", -0.1), ("bn_momentum", float("nan")),
-        ("bn_eps", -1.0), ("bn_eps", 0.0), ("bn_eps", float("nan"))])
+        ("bn_eps", -1.0), ("bn_eps", 0.0), ("bn_eps", float("nan")), ("bn_eps", float("inf"))])
     def test_batch_norm_setting_outside_its_range_rejected(self, setting, value):
         # either setting out of range makes predict return NaN probabilities
         with pytest.raises(ValueError, match=setting):

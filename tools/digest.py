@@ -11,8 +11,12 @@ loss terms; mini-batch training with `sum` reduction, a trailing one-row
 batch to merge and `eval_every`; training with zero completion on scaled
 data; `eval --out`; and small `sweep` (one more with `--complete-test` and
 a JSON report), `grid`, `ablate` (JSON report; one more with
-`--lambda-co-fixed` and a CSV report) and `surface` runs. Before hashing,
-each run manifest loses `duration_seconds` and `environment.git_revision`,
+`--lambda-co-fixed` and a CSV report) and `surface` runs; then a 3-epoch
+`train` of the `rosmap` preset on 150 subjects of 3 x 200 features, wide
+enough that each step runs its branches on threads where two CPUs are
+usable, and its `eval`. So `--against` a checkout whose training loop is
+serial compares threaded output with serial output, and a tree against
+itself compares two threaded runs. Before hashing, each run manifest loses `duration_seconds` and `environment.git_revision`,
 and the temporary directory's path is replaced in every file. Needs only the standard library and numpy.
 """
 
@@ -70,6 +74,14 @@ SEQUENCE = [
     ("surface", ["surface", "--data", "{root}/data", "--seed", "15",
                  "--fix", "lambda_al=0.01", "--vary", "lambda_co=0,0.1",
                  "--vary", "lambda_cl=0,0.01", "--eta", "0.4", "--seeds", "1", *RUNNER]),
+    # 150 subjects x 300-wide latents: past numerics.BRANCH_MIN_ELEMENTS
+    ("data_wide", ["synth", "--n", "150", "--views", "3", "--classes", "2",
+                   "--dims", "200,200,200", "--seed", "16"]),
+    ("masked_wide", ["mask", "--data", "{root}/data_wide", "--eta", "0.4", "--seed", "17"]),
+    ("train_wide", ["train", "--data", "{root}/masked_wide", "--seed", "18", "--epochs", "3",
+                    "--preset", "rosmap", *TERMS]),
+    ("eval_wide", ["eval", "--checkpoint", "{root}/train_wide/checkpoint.ckpt",
+                   "--data", "{root}/masked_wide"]),
 ]
 
 
