@@ -15,12 +15,12 @@ mode.
 sweep, ablate and surface share one body: an `evaluation` builder checks the
 command's whole trial list, then `evaluation.run_trials` runs it.
 
-Exit codes: 0 success, 1 usage error (including an unknown config section or
-key, a config value its constructor rejects, a malformed flag value, a trial
-list its builder rejects, such as --etas out of order, a trial listed twice,
-a missing rate outside [0, 1] or a negative loss weight, or a model or
-checkpoint whose views, widths or classes do not match the data), 2
-runtime/numeric failure.
+Exit codes: 0 success, 1 usage error, 2 runtime/numeric failure. A usage
+error is an unknown config section or key, a config value of a type or range
+its leaf refuses (named as "section: leaf", with the value), a malformed flag
+value, a trial list its builder rejects (--etas out of order, a trial listed
+twice, a missing rate outside [0, 1], a negative loss weight), or a model or
+checkpoint whose views, widths or classes do not match the data.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, astuple, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -278,8 +279,9 @@ def _assignment(convert):
 def _cmd_synth(args, config):
     section = _section(config, "synth")
     section["seed"] = args.seed
-    section.setdefault("n_views", 3)
-    section.setdefault("view_dims", [20] * section["n_views"])
+    n_views = section.setdefault("n_views", 3)
+    if isinstance(n_views, int):  # otherwise SyntheticSpec names the bad n_views
+        section.setdefault("view_dims", [20] * n_views)
     spec = _build(dt.SyntheticSpec, section, "synth")
     ds = dt.synth_generate(spec)
     out = _out_dir(args)
@@ -368,8 +370,7 @@ def _sweep(args, weights, seeds):
 
 
 def _ablate(args, weights, seeds):
-    spec = ev.AblationSpec(etas=tuple(args.etas), seeds=tuple(seeds),
-                           lambda_co=args.lambda_co_fixed)
+    spec = ev.AblationSpec(etas=args.etas, seeds=seeds, lambda_co=args.lambda_co_fixed)
     return (ev.ablation_trials(spec, weights),
             {"etas": args.etas, "seeds": seeds, "lambda_co": args.lambda_co_fixed})
 
@@ -446,13 +447,15 @@ def _build_parser():
                            help="min-max scale features to [0,1] on load")
 
     def training_flags(p):
+        hints = get_type_hints(tr.TrainConfig)  # a choice flag offers its leaf's Literal
         p.add_argument("--preset", choices=sorted(md.PRESETS),
                        help="published architecture preset")
         p.add_argument("--epochs", dest="train.epochs", type=int)
         p.add_argument("--initial-lr", dest="train.initial_lr", type=float)
-        p.add_argument("--lr-schedule", dest="train.lr_schedule", choices=["step", "constant"])
+        p.add_argument("--lr-schedule", dest="train.lr_schedule",
+                       choices=get_args(hints["lr_schedule"]))
         p.add_argument("--batch-size", dest="train.batch_size", type=int)
-        p.add_argument("--reduction", dest="train.reduction", choices=["mean", "sum"])
+        p.add_argument("--reduction", dest="train.reduction", choices=get_args(hints["reduction"]))
         p.add_argument("--lambda-al", dest="train.weights.lambda_al", type=float)
         p.add_argument("--lambda-co", dest="train.weights.lambda_co", type=float)
         p.add_argument("--lambda-cl", dest="train.weights.lambda_cl", type=float)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import RngStream, integer
+from .numerics import RngStream, coerce_fields
 
 
 class ParseError(ValueError):
@@ -332,6 +331,7 @@ class MissingnessSpec:
     policy: str = "uniform"
 
     def __post_init__(self):
+        coerce_fields(self)
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
         if self.policy != "uniform":
@@ -340,7 +340,7 @@ class MissingnessSpec:
 
 def _dropped_views(policy) -> list:
     """The sorted view indices a "drop:i[,j...]" policy names."""
-    if isinstance(policy, str) and policy.startswith("drop:"):
+    if policy.startswith("drop:"):
         try:
             return sorted({int(tok) for tok in policy[len("drop:"):].split(",")})
         except ValueError:
@@ -413,7 +413,7 @@ class SyntheticSpec:
 
     n_subjects: int = 400
     n_views: int = 3
-    view_dims: tuple = (20, 20, 20)
+    view_dims: tuple[int, ...] = (20, 20, 20)
     class_count: int = 3
     shared_dim: int = 36
     snr: float = 5.0
@@ -421,19 +421,15 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_subjects", "n_views", "class_count", "shared_dim"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
-        object.__setattr__(self, "view_dims",
-                           tuple(integer("view_dims", d) for d in self.view_dims))
-        if self.n_subjects < 1 or self.n_views < 1 or self.class_count < 1 or self.shared_dim < 1:
-            raise ValueError("all counts must be >= 1")
+        coerce_fields(self)
+        if min(self.n_subjects, self.n_views, self.class_count, self.shared_dim) < 1:
+            raise ValueError("n_subjects, n_views, class_count and shared_dim must be >= 1")
         if len(self.view_dims) != self.n_views or any(d < 1 for d in self.view_dims):
             raise ValueError("view_dims needs one positive entry per view")
-        if not self.snr > 0:  # also NaN
+        if not self.snr > 0:
             raise ValueError(f"snr must be positive, got {self.snr}")
-        sep = self.class_sep
-        if isinstance(sep, bool) or not isinstance(sep, numbers.Real) or not 0 <= sep < np.inf:
-            raise ValueError(f"class_sep must be a finite real >= 0, got {sep!r}")
+        if not self.class_sep >= 0:
+            raise ValueError(f"class_sep must be >= 0, got {self.class_sep}")
 
 
 def _view_windows(shared_dim: int, n_views: int):
@@ -480,6 +476,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        coerce_fields(self)
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
 

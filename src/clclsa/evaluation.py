@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .data import (
     split,
 )
 from .model import LossWeights, ModelConfig
-from .numerics import derive_seed
+from .numerics import coerce_fields, derive_seed
 
 METRIC_COLUMNS = ("acc", "f1", "auc", "weighted_f1", "macro_f1")
 REPORT_COLUMNS = ("dataset", "variant", "eta", "seed", "lambda_al", "lambda_co",
@@ -385,7 +385,8 @@ def surface_trials(weights: LossWeights, fix, vary, eta: float, seeds) -> list:
     return _distinct(trials)
 
 
-ABLATION_VARIANTS = ("plain", "ctst", "aux", "ctst+aux")
+AblationVariant = Literal["plain", "ctst", "aux", "ctst+aux"]
+ABLATION_VARIANTS = get_args(AblationVariant)
 
 
 @dataclass(frozen=True)
@@ -397,15 +398,13 @@ class AblationSpec:
     cross-view completion weight stays fixed (0.1) throughout.
     """
 
-    variants: tuple = ABLATION_VARIANTS
-    etas: tuple = (0.2, 0.4)
-    seeds: tuple = (0, 1, 2, 3, 4)
+    variants: tuple[AblationVariant, ...] = ABLATION_VARIANTS
+    etas: tuple[float, ...] = (0.2, 0.4)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     lambda_co: float = 0.1
 
     def __post_init__(self):
-        unknown = set(self.variants) - set(ABLATION_VARIANTS)
-        if unknown:
-            raise ValueError(f"unknown ablation variants: {sorted(unknown)}")
+        coerce_fields(self)
 
 
 def ablation_weights(variant: str, base: LossWeights, lambda_co: float) -> LossWeights:

@@ -18,15 +18,13 @@ that rewards mutual information between paired latents while an entropy bonus
 
 from __future__ import annotations
 
-import base64
 import functools
 import json
-import math
 import os
 import tempfile
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Literal, Optional
 
 import numpy as np
 
@@ -93,40 +91,35 @@ class ModelConfig:
     """Architecture description: view count, per-view widths, head sizes."""
 
     num_views: int
-    input_dims: tuple
-    embed_dims: tuple
+    input_dims: tuple[int, ...]
+    embed_dims: tuple[int, ...]
     num_classes: int
-    ae_hidden: tuple = (64, 32)
+    ae_hidden: tuple[int, ...] = (64, 32)
     dropout_p: float = 0.5
-    completion: str = "cross"
+    completion: Literal["cross", "zero"] = "cross"
     bn_momentum: float = 0.1
     bn_eps: float = 1e-5
 
     def __post_init__(self):
-        for name in ("input_dims", "embed_dims", "ae_hidden"):
-            object.__setattr__(self, name, tuple(nm.integer(name, d) for d in getattr(self, name)))
-        for name in ("num_views", "num_classes"):
-            object.__setattr__(self, name, nm.integer(name, getattr(self, name)))
+        nm.coerce_fields(self)
         if self.num_views < 2:
-            raise ValueError("at least two views required")
+            raise ValueError(f"num_views must be >= 2, got {self.num_views}")
         if len(self.input_dims) != self.num_views or len(self.embed_dims) != self.num_views:
             raise ValueError("input_dims and embed_dims must have one entry per view")
         if any(d < 1 for d in self.input_dims + self.embed_dims):
-            raise ValueError("all dimensions must be >= 1")
+            raise ValueError("input_dims and embed_dims must be >= 1")
         if len(set(self.embed_dims)) != 1:
-            raise ValueError("all embedding dimensions must be equal")
+            raise ValueError("embed_dims must all be equal")
         if self.num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         if len(self.ae_hidden) != 2 or any(h < 1 for h in self.ae_hidden):
             raise ValueError("ae_hidden must be two positive widths")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
-        if self.completion not in ("cross", "zero"):
-            raise ValueError("completion must be 'cross' or 'zero'")
         if not 0.0 <= self.bn_momentum <= 1.0:
             raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
-        if not 0.0 < self.bn_eps < math.inf:  # an infinite eps makes every output relu(beta)
-            raise ValueError(f"bn_eps must be > 0 and finite, got {self.bn_eps}")
+        if not self.bn_eps > 0:
+            raise ValueError(f"bn_eps must be > 0, got {self.bn_eps}")
 
     @property
     def fused_dim(self) -> int:
@@ -161,12 +154,10 @@ class LossWeights:
     alpha: float = 9.0
 
     def __post_init__(self):
-        for name in ("lambda_al", "lambda_co", "lambda_cl", "alpha"):
-            value = getattr(self, name)
+        nm.coerce_fields(self)
+        for name, value in vars(self).items():
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-            if not value < math.inf:  # also NaN, which compares False both ways
-                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -1009,15 +1000,6 @@ CHECKPOINT_DTYPE = "<f8"
 HEADER_LIMIT = 1 << 20  # bytes a format-3 header line may take, newline included
 
 
-def _from_base64(text, where, count=None) -> np.ndarray:
-    """The float64 values of a base64 payload; `count` is the length it must have."""
-    raw = base64.b64decode(text, validate=True)
-    expected = len(raw) // 8 if count is None else count
-    if len(raw) != 8 * expected:
-        raise ValueError(f"{where}: payload holds {len(raw)} bytes, not {expected} float64 values")
-    return np.frombuffer(raw, "<f8").astype(np.float64)
-
-
 def _in_layout(where, config: ModelConfig, tensors: dict, stats: dict):
     """`tensors` (name -> array) and `stats` (name -> (running mean, running
     variance)) in `param_layout(config)`'s order, after checking them against
@@ -1038,17 +1020,6 @@ def _in_layout(where, config: ModelConfig, tensors: dict, stats: dict):
             if name not in want:
                 raise ValueError(f"{where}: {kind} {name} is not in its config's layout")
     return ([(n, tensors[n]) for n, _ in shapes], [(n, stats[n]) for n, _ in widths])
-
-
-def _params(config: ModelConfig, tensors, stats) -> CLCLSAParams:
-    """Parameters holding the given arrays, from lists of (name, array) and
-    (name, (running mean, running variance)) in layout order."""
-    bn_states = {}
-    for name, (mean, var) in stats:
-        bn_states[name] = st = BatchNormState(mean.shape[1])
-        st.running_mean, st.running_var = mean, var
-    return CLCLSAParams(config, OrderedDict((n, parameter(a, n)) for n, a in tensors),
-                        bn_states)
 
 
 def save_checkpoint(path, params: CLCLSAParams, extra=None) -> None:
@@ -1090,68 +1061,36 @@ def save_checkpoint(path, params: CLCLSAParams, extra=None) -> None:
         raise
 
 
-def _config(path, doc: dict) -> ModelConfig:
-    try:
-        return ModelConfig(**doc["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: checkpoint holds no valid model config ({exc})") from None
-
-
-def _load_version2(path, doc: dict) -> CLCLSAParams:
-    """A version-2 document: each tensor (with its shape) and each running
-    mean and variance (with the state's momentum and eps) a base64 string of
-    its little-endian float64 bytes."""
-    config = _config(path, doc)
-    tensors, stats = {}, {}
-    try:
-        for name, entry in doc["params"].items():
-            shape = tuple(entry["shape"])
-            tensors[name] = _from_base64(entry["values"], f"{path}: {name}",
-                                         math.prod(shape)).reshape(shape)
-        for name, entry in doc["bn_states"].items():
-            settings = (entry["momentum"], entry["eps"])
-            if settings != (config.bn_momentum, config.bn_eps):
-                raise ValueError(
-                    f"{path}: batch-norm state {name} has momentum and eps {settings}, "
-                    f"its config {(config.bn_momentum, config.bn_eps)}")
-            mean = _from_base64(entry["running_mean"], f"{path}: {name}.running_mean")
-            var = _from_base64(entry["running_var"], f"{path}: {name}.running_var", mean.size)
-            stats[name] = (mean.reshape(1, -1), var.reshape(1, -1))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: malformed version-2 checkpoint ({exc!r})") from None
-    return _params(config, *_in_layout(path, config, tensors, stats))
-
-
 def load_checkpoint(path) -> CLCLSAParams:
-    """Read a checkpoint written by `save_checkpoint`, or a version-2 one.
+    """Read a checkpoint written by `save_checkpoint`.
 
     The payload is read into one float64 buffer, and every tensor and
     running statistic is a writable view into it. Raises ValueError for a file
-    of another format, a version other than 2 or 3, a dtype other than
-    "<f8", a config that is not valid, or a payload that does not fit the
-    layout its config defines (see `param_layout`), naming the byte counts
-    for format 3 and the first mismatched tensor or state for version 2.
+    of another format, a version other than 3 (the version-2 documents that
+    builds before format 3 wrote included), a dtype other than "<f8", a
+    config that is not valid, or a payload whose byte count does not fit the
+    layout its config defines (see `param_layout`).
     """
     with open(path, "rb") as fh:
-        line = fh.readline(HEADER_LIMIT)
-        if not line.endswith(b"\n"):
-            line += fh.read()  # a version-2 checkpoint is one JSON document with no newline
         try:
-            doc = json.loads(line)
+            doc = json.loads(fh.readline(HEADER_LIMIT))
         except ValueError:
             doc = None
         if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+            # also a version-2 document longer than HEADER_LIMIT, whose first line is cut
+            raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file "
+                             f"(this build reads version {CHECKPOINT_VERSION})")
         version = doc.get("version")
-        if version == 2:
-            return _load_version2(path, doc)
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: checkpoint version {version!r} is not supported "
-                             f"(this build reads versions 2 and {CHECKPOINT_VERSION})")
+                             f"(this build reads version {CHECKPOINT_VERSION})")
         if doc.get("dtype") != CHECKPOINT_DTYPE:
             raise ValueError(f"{path}: checkpoint dtype {doc.get('dtype')!r} is not "
                              f"{CHECKPOINT_DTYPE!r}")
-        config = _config(path, doc)
+        try:
+            config = ModelConfig(**doc["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: checkpoint holds no valid model config ({exc})") from None
         shapes, widths = param_layout(config)
         sizes = [shape for _, shape in shapes] + [(1, w) for _, w in widths for _ in (0, 1)]
         count = sum(r * c for r, c in sizes)
@@ -1163,6 +1102,8 @@ def load_checkpoint(path) -> CLCLSAParams:
         if fh.readinto(flat) != 8 * count:
             raise ValueError(f"{path}: payload changed while it was read")
     views = iter(nm._views(flat.astype(np.float64, copy=False), sizes))
-    tensors = [(name, next(views)) for name, _ in shapes]
-    stats = [(name, (next(views), next(views))) for name, _ in widths]
-    return _params(config, tensors, stats)
+    tensors = OrderedDict((name, parameter(next(views), name)) for name, _ in shapes)
+    bn_states = {name: BatchNormState(width) for name, width in widths}
+    for st in bn_states.values():
+        st.running_mean, st.running_var = next(views), next(views)
+    return CLCLSAParams(config, tensors, bn_states)

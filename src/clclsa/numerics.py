@@ -24,11 +24,13 @@ replayed independently of call order elsewhere.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
-import numbers
 import os
 import threading
+import typing
 from concurrent.futures import Future, ThreadPoolExecutor, wait
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -40,6 +42,8 @@ __all__ = [
     "BatchSizeError",
     "HyperparameterError",
     "integer",
+    "real",
+    "coerce_fields",
     "RngStream",
     "derive_seed",
     "parameter",
@@ -108,9 +112,52 @@ class HyperparameterError(ValueError):
 
 def integer(field, value):
     """`value` as an int; a bool or a non-integer (4.7, "4") is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{field} takes integers only, got {value!r}")
     return int(value)
+
+
+def real(field, value):
+    """`value` as given if it is a finite real; a bool, str, None, NaN or infinity is refused."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise ValueError(f"{field} takes reals only, got {value!r}")
+    if not -np.inf < value < np.inf:  # NaN too: it compares False both ways
+        raise ValueError(f"{field} must be finite, got {value!r}")
+    return value
+
+
+def _coerce(hint, field, value):
+    if hint is int or hint is float:
+        return integer(field, value) if hint is int else real(field, value)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:  # tuple[T, ...]
+        if not isinstance(value, (list, tuple)) and np.ndim(value) != 1:
+            raise ValueError(f"{field} takes a list, got {value!r}")
+        return tuple(_coerce(args[0], field, v) for v in value)
+    if origin is typing.Union:  # Optional[T]
+        return None if value is None else _coerce(args[0], field, value)
+    if origin is typing.Literal and not (isinstance(value, str) and value in args):
+        raise ValueError(f"{field} must be one of {args}, got {value!r}")
+    if origin is None and not isinstance(value, hint):  # str, or a nested config
+        raise ValueError(f"{field} takes a {hint.__name__}, got {value!r}")
+    return value
+
+
+# a class's resolved field annotations; resolving the postponed (string) annotations
+# costs about 20 constructions, so it runs once per class
+_field_types = functools.lru_cache(maxsize=None)(typing.get_type_hints)
+
+
+def coerce_fields(config):
+    """Store each field of a config dataclass as the rule of its annotation gives
+    it; the first value refused raises a ValueError naming its field. int:
+    `integer`. float: `real`. Literal: one of its strings. tuple[T, ...]: a
+    tuple of T from a list, a tuple or a 1-D array. Optional[T]: None or a T.
+    Any other class: an instance of it."""
+    for name, hint in _field_types(type(config)).items():
+        value = getattr(config, name)
+        if (coerced := _coerce(hint, name, value)) is not value:
+            object.__setattr__(config, name, coerced)
 
 
 # ---------------------------------------------------------------------------

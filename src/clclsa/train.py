@@ -10,9 +10,8 @@ thread, also when a wide fit runs its steps' branches on threads.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import astuple, dataclass, field, replace
-from typing import Optional
+from typing import Literal, Optional, get_args
 
 import numpy as np
 
@@ -34,31 +33,25 @@ class TrainConfig:
 
     epochs: int = 2500
     initial_lr: float = 1e-4
-    lr_schedule: str = "step"
+    lr_schedule: Literal["step", "constant"] = "step"
     lr_decay_factor: float = 0.2
     lr_decay_every: int = 500
     batch_size: Optional[int] = None
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
-    reduction: str = "mean"
+    reduction: Literal["mean", "sum"] = "mean"
     eval_every: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "lr_decay_every", "eval_every", "batch_size"):
-            if getattr(self, name) is not None:  # batch_size None is full-batch
-                object.__setattr__(self, name, nm.integer(name, getattr(self, name)))
+        nm.coerce_fields(self)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         for name in ("initial_lr", "lr_decay_factor"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN too: it compares False both ways
-                raise nm.HyperparameterError(f"{name} must be positive and finite, got {value}")
-        if self.lr_schedule not in ("step", "constant"):
-            raise ValueError("lr_schedule must be 'step' or 'constant'")
+            if not value > 0:
+                raise nm.HyperparameterError(f"{name} must be positive, got {value}")
         if self.lr_decay_every < 1:
             raise ValueError("lr_decay_every must be >= 1")
-        if self.reduction not in ("mean", "sum"):
-            raise ValueError("reduction must be 'mean' or 'sum'")
         if self.batch_size is not None and self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch norm needs 2 rows)")
         if self.eval_every < 0:
@@ -177,26 +170,27 @@ def train(ds: MultiOmicsDataset, model_config: ModelConfig, train_config: TrainC
 # Grid search
 
 # `evaluation.MetricsReport` fields a grid can rank by
-SELECTION_METRICS = ("acc", "macro_f1", "weighted_f1")
+Metric = Literal["acc", "macro_f1", "weighted_f1"]
+SELECTION_METRICS = get_args(Metric)
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Candidate weight sets and the selection rule for grid search."""
 
-    lambda_al_values: tuple = md.GRID_VALUES
-    lambda_co_values: tuple = md.GRID_VALUES
-    lambda_cl_values: tuple = md.GRID_VALUES
-    metric: str = "acc"
+    lambda_al_values: tuple[float, ...] = md.GRID_VALUES
+    lambda_co_values: tuple[float, ...] = md.GRID_VALUES
+    lambda_cl_values: tuple[float, ...] = md.GRID_VALUES
+    metric: Metric = "acc"
     val_fraction: float = 0.2
 
     def __post_init__(self):
+        nm.coerce_fields(self)
         if not (self.lambda_al_values and self.lambda_co_values and self.lambda_cl_values):
-            raise ValueError("candidate sets must be nonempty")
-        if not 0 < self.val_fraction < 1:  # NaN too
+            raise ValueError("lambda_al_values, lambda_co_values and lambda_cl_values "
+                             "must be nonempty")
+        if not 0 < self.val_fraction < 1:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.metric not in SELECTION_METRICS:
-            raise ValueError(f"metric must be one of {SELECTION_METRICS}, got {self.metric!r}")
         for name in ("lambda_al", "lambda_co", "lambda_cl"):
             for value in getattr(self, f"{name}_values"):
                 LossWeights(**{name: value})  # rejects a negative candidate

@@ -1,8 +1,11 @@
 """End-to-end command-line behavior: exit codes, manifests, reproducibility."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
+import typing
 import warnings
 from dataclasses import asdict
 
@@ -414,8 +417,7 @@ class TestUsageErrors:
         # 1.5 once exited 2 from the split, naming train_fraction
         ("grid", ["--set", "grid.val_fraction=1.5"],
          "grid: val_fraction must be in (0, 1), got 1.5"),
-        ("grid", ["--set", "grid.val_fraction=NaN"],
-         "grid: val_fraction must be in (0, 1), got nan"),
+        ("grid", ["--set", "grid.val_fraction=NaN"], "grid: val_fraction must be finite, got nan"),
     ], ids=["lr_decay_every", "grid_metric", "epochs", "dropout", "eta", "epochs_fractional",
             "epochs_nan", "batch_size_nan", "lr_decay_every_fractional",
             "eval_every_fractional", "eval_every_negative", "val_fraction", "val_fraction_nan"])
@@ -495,10 +497,10 @@ class TestRunValuesRejectedBeforeTraining:
          "lambda_al, lambda_co, lambda_co"),
         (["train", "--lambda-al", "nan"], "lambda_al must be finite, got nan"),
         (["train", "--alpha", "inf"], "alpha must be finite, got inf"),
-        (["train", "--initial-lr", "nan"], "initial_lr must be positive and finite, got nan"),
+        (["train", "--initial-lr", "nan"], "initial_lr must be finite, got nan"),
         (["train", "--set", "train.lr_decay_factor=NaN"],
-         "lr_decay_factor must be positive and finite, got nan"),
-        (["grid", "--set", "grid.lambda_al_values=[0.0,NaN]"], "lambda_al must be finite"),
+         "lr_decay_factor must be finite, got nan"),
+        (["grid", "--set", "grid.lambda_al_values=[0.0,NaN]"], "lambda_al_values must be finite"),
         (["ablate", "--lambda-co-fixed", "nan"], "lambda_co must be finite"),
         (["surface", "--eta", "0.2", "--fix", "lambda_al=nan", *SURFACE_AXES[2:]],
          "lambda_al must be finite"),
@@ -536,16 +538,19 @@ class TestRunValuesRejectedBeforeTraining:
     def test_nan_snr_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["synth", "--snr", "nan", "--seed", "1", "--out", str(out)]) == 1
-        assert "snr must be positive, got nan" in capsys.readouterr().err
+        assert "synth: snr must be finite, got nan" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--sep", "inf"], ["--sep", "-3"],
-                                       ["--set", 'synth.class_sep="1.5"']])
+    @pytest.mark.parametrize("flags, message", [
+        (["--sep", "inf"], "class_sep must be finite, got inf"),
+        (["--sep", "-3"], "class_sep must be >= 0, got -3.0"),
+        (["--set", 'synth.class_sep="1.5"'], "class_sep takes reals only, got '1.5'")],
+        ids=["flags0", "flags1", "flags2"])
     def test_class_sep_outside_the_finite_non_negative_reals_is_usage_error(
-            self, tmp_path, capsys, flags):
+            self, tmp_path, capsys, flags, message):
         out = tmp_path / "out"
         assert run(["synth", *flags, "--seed", "1", "--out", str(out)]) == 1
-        assert "class_sep must be a finite real >= 0" in capsys.readouterr().err
+        assert f"synth: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fractional_width_is_usage_error_before_training(self, tmp_path, synth_dir,
@@ -570,6 +575,79 @@ def test_fractional_synth_count_is_usage_error(tmp_path, capsys, setting, messag
     assert run(["synth", "--seed", "1", "--out", str(out), "--set", setting]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# (command, --set value, the section and leaf, the value as the message shows it):
+# each once exited 0 or died with a TypeError's message or traceback
+LEAF_PROBES = [
+    ("train", "train.weights.alpha=true", "train.weights: alpha", "True"),
+    ("train", "model.dropout_p=false", "model: dropout_p", "False"),
+    ("mask", "mask.eta=true", "mask: eta", "True"),
+    ("synth", "synth.snr=1e309", "synth: snr", "inf"),
+    ("train", 'model.dropout_p="0.1"', "model: dropout_p", "'0.1'"),
+    ("train", 'train.initial_lr="0.001"', "train: initial_lr", "'0.001'"),
+    ("mask", 'mask.eta="0.3"', "mask: eta", "'0.3'"),
+    ("train", "model.bn_momentum=null", "model: bn_momentum", "None"),
+    ("train", "train.weights.lambda_al=null", "train.weights: lambda_al", "None"),
+    ("train", "model.ae_hidden=5", "model: ae_hidden", "5"),
+    ("synth", "synth.view_dims=5", "synth: view_dims", "5"),
+    # the default view_dims were once [20] * n_views, computed before the count was checked
+    ("synth", 'synth.n_views="3"', "synth: n_views", "'3'"),
+]
+
+
+@pytest.mark.parametrize("command, setting, leaf, shown", LEAF_PROBES,
+                         ids=[setting for _, setting, _, _ in LEAF_PROBES])
+def test_mistyped_leaf_is_usage_error_naming_it(tmp_path, synth_dir, capsys, monkeypatch,
+                                                command, setting, leaf, shown):
+    monkeypatch.setattr(tr, "train", raising_stub("train"))
+    out = tmp_path / "out"
+    argv = [command, "--seed", "1", "--out", str(out), "--set", setting]
+    if command != "synth":
+        argv += ["--data", str(synth_dir)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {leaf} ") and err.rstrip().endswith(f", got {shown}"), err
+    assert not out.exists()
+
+
+# the config class behind each section of the command line
+SECTION_CLASSES = {"model": md.ModelConfig, "train": tr.TrainConfig, "synth": dt.SyntheticSpec,
+                   "mask": dt.MissingnessSpec, "grid": tr.GridSpec}
+
+
+def _config_flags():
+    """(subcommand, action) for every flag whose dest is a config leaf."""
+    subcommands = next(a for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    return [(name, action) for name, parser in subcommands.items()
+            for action in parser._actions if "." in action.dest]
+
+
+def _leaf_type(dest):
+    """The resolved annotation of a dotted config leaf, walking nested dataclasses."""
+    section, *path, leaf = dest.split(".")
+    cls = SECTION_CLASSES[section]
+    for part in path:
+        cls = typing.get_type_hints(cls)[part]
+    assert leaf in {f.name for f in dataclasses.fields(cls)}, dest
+    return typing.get_type_hints(cls)[leaf]
+
+
+class TestParserFlags:
+    def test_every_config_flag_names_a_field(self):
+        flags = _config_flags()
+        assert len(flags) > 20
+        for _, action in flags:
+            _leaf_type(action.dest)
+
+    def test_every_choice_flag_offers_its_annotations_choices(self):
+        chosen = [(name, a) for name, a in _config_flags() if a.choices is not None]
+        assert {a.dest for _, a in chosen} == {"train.lr_schedule", "train.reduction"}
+        for name, action in chosen:
+            hint = _leaf_type(action.dest)
+            assert typing.get_origin(hint) is typing.Literal, (name, action.dest)
+            assert tuple(action.choices) == typing.get_args(hint), (name, action.dest)
 
 
 class TestEvalCheckpointMatchesData:

@@ -443,12 +443,17 @@ class TestSynthGenerate:
 
     @pytest.mark.parametrize("snr", [0.0, -1.0, float("nan")])
     def test_non_positive_or_nan_snr_rejected(self, snr):
-        with pytest.raises(ValueError, match=f"snr must be positive, got {snr}"):
+        rule = "must be finite" if np.isnan(snr) else "must be positive"
+        with pytest.raises(ValueError, match=f"snr {rule}, got {snr}"):
             dt.SyntheticSpec(snr=snr)
 
-    @pytest.mark.parametrize("sep", [float("inf"), float("nan"), -3.0, "1.5", True])
-    def test_class_sep_outside_the_finite_non_negative_reals_rejected(self, sep):
-        with pytest.raises(ValueError, match="class_sep must be a finite real >= 0"):
+    @pytest.mark.parametrize("sep, rule", [(float("inf"), "must be finite"),
+                                           (float("nan"), "must be finite"),
+                                           (-3.0, "must be >= 0"), ("1.5", "takes reals only"),
+                                           (True, "takes reals only")],
+                             ids=["inf", "nan", "-3.0", "1.5", "True"])
+    def test_class_sep_outside_the_finite_non_negative_reals_rejected(self, sep, rule):
+        with pytest.raises(ValueError, match=f"class_sep {rule}, got {sep!r}"):
             dt.SyntheticSpec(class_sep=sep)
 
     def test_class_sep_of_zero_accepted(self):

@@ -1,7 +1,8 @@
 """Same-seed digest of the clclsa command line, for bit-for-bit comparisons.
 
     python tools/digest.py TREE                 # one SHA-256 per written file, as JSON
-    python tools/digest.py TREE --against DIR   # exit 1 naming each file that differs
+    python tools/digest.py TREE --against DIR   # exit 1 naming each file that differs;
+                                                # also each tree's src/ line counts
 
 Runs a fixed sequence of `clclsa` commands against TREE/src, each in its own
 interpreter with the six BLAS thread variables at 1 (the setting the bitwise
@@ -127,6 +128,17 @@ def digest(tree) -> dict:
     return dict(sorted(hashes.items()))
 
 
+def src_lines(tree) -> dict:
+    """{file name: line count, as `wc -l` counts} of TREE/src/clclsa/*.py."""
+    src = os.path.join(tree, "src", "clclsa")
+    counts = {}
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                counts[name] = fh.read().count(b"\n")
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", help="checkout whose src/ provides clclsa")
@@ -142,6 +154,12 @@ def main(argv=None) -> int:
     for name in differing:
         print(f"differs: {name}", file=sys.stderr)
     print(f"{len(names) - len(differing)} of {len(names)} files equal", file=sys.stderr)
+    mine, theirs = src_lines(args.tree), src_lines(args.against)
+    rows = [(name, mine.get(name, 0), theirs.get(name, 0)) for name in sorted({*mine, *theirs})]
+    rows.append(("total", sum(mine.values()), sum(theirs.values())))
+    print(f"{'src/clclsa lines':<18}{'TREE':>7}{'DIR':>7}{'diff':>7}", file=sys.stderr)
+    for name, a, b in rows:
+        print(f"{name:<18}{a:>7}{b:>7}{a - b:>+7}", file=sys.stderr)
     return 1 if differing else 0
 
 
